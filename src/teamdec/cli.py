@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .constants import ENUM_CAP, TABLE_CAP, tolerances
 from .convexity import certify_team_convexity
-from .errors import AnalysisError, CapExceeded, TeamError, ValidationError
+from .errors import CapExceeded, TeamError, ValidationError
 from .gallery import (
     decoupled_example,
     example1,
@@ -36,7 +36,6 @@ from .model import (
     DeterministicProfile,
     Pmf,
     TeamProblem,
-    expected_cost,
     validate,
 )
 from .probio import (
@@ -48,7 +47,7 @@ from .probio import (
 )
 from .quadrature import QuadratureSpec, snap_profile
 from .reduction import static_reduce, verify_equivalence
-from .solvers import brute_force, iter_profiles, mixture_lp, pbp_iterate
+from .solvers import _profile_values, brute_force, mixture_lp, pbp_iterate
 from .strategic import (
     check_membership_LA,
     check_membership_LM,
@@ -183,10 +182,19 @@ def cmd_reduce(args) -> dict:
             )
         references = []
         for d, entry in enumerate(doc):
-            mass = np.zeros(len(problem.y_spaces[d]))
+            labels = [str(p) for p in problem.y_spaces[d].points]
+            if not (
+                isinstance(entry, dict)
+                and set(entry) <= set(labels)
+                and all(isinstance(v, (int, float)) for v in entry.values())
+            ):
+                raise ValidationError(
+                    f"reference for DM {d + 1} must map points of "
+                    f"{problem.y_spaces[d].name!r} to masses, got {entry!r}"
+                )
+            mass = np.zeros(len(labels))
             for key, v in entry.items():
-                idx = [str(p) for p in problem.y_spaces[d].points].index(key)
-                mass[idx] = float(v)
+                mass[labels.index(key)] = float(v)
             references.append(Pmf(problem.y_spaces[d], mass))
     reduction = static_reduce(problem, references)
     profiles = _seeded_profiles(problem, args.seed, 5)
@@ -302,11 +310,11 @@ def cmd_strategic(args) -> dict:
         if total > args.cap:
             raise CapExceeded(total, args.cap)
         res = brute_force(problem, cap=args.cap)
-        values = []
-        for i, profile in enumerate(iter_profiles(problem)):
-            if i >= args.limit:
-                break
-            values.append(expected_cost(problem, profile))
+        values = [
+            v
+            for _, vals in _profile_values(problem, min(args.limit, total))
+            for v in vals.tolist()
+        ]
         return {
             "input_digest": pf.digest,
             "n_profiles": total,
@@ -533,46 +541,45 @@ def _base_report(args) -> dict:
     }
 
 
+# Exception type -> (report error type, exit code).  The first row the
+# exception is an instance of wins, so subclasses come before their bases;
+# a None type reports the exception's own class name.
+_ERRORS = (
+    (json.JSONDecodeError, "ParseError", 2),
+    (UnicodeDecodeError, "ParseError", 2),
+    (FileNotFoundError, "FileNotFound", 2),
+    (IsADirectoryError, "IsADirectory", 2),
+    (InvalidInput, "ValidationError", 2),
+    (ValidationError, None, 2),
+    (TeamError, None, 1),
+)
+
+
+def _error_report(e: Exception) -> tuple:
+    kind, code = next((k, c) for t, k, c in _ERRORS if isinstance(e, t))
+    if isinstance(e, json.JSONDecodeError):
+        message = f"{e.msg} (line {e.lineno}, column {e.colno})"
+    else:
+        message = str(e)
+    error = {"type": kind or type(e).__name__, "message": message}
+    if isinstance(e, InvalidInput):
+        error["violations"] = [
+            {"code": v.code, "where": v.where, "message": v.message}
+            for v in e.violations
+        ]
+    return error, code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     report = _base_report(args)
     try:
         report.update(args.fn(args))
-    except json.JSONDecodeError as e:
-        report["error"] = {
-            "type": "ParseError",
-            "message": f"{e.msg} (line {e.lineno}, column {e.colno})",
-        }
+    except tuple(t for t, _, _ in _ERRORS) as e:
+        report["error"], code = _error_report(e)
         _emit(report, args)
-        return 2
-    except FileNotFoundError as e:
-        report["error"] = {"type": "FileNotFound", "message": str(e)}
-        _emit(report, args)
-        return 2
-    except InvalidInput as e:
-        report["error"] = {
-            "type": "ValidationError",
-            "message": str(e),
-            "violations": [
-                {"code": v.code, "where": v.where, "message": v.message}
-                for v in e.violations
-            ],
-        }
-        _emit(report, args)
-        return 2
-    except ValidationError as e:
-        report["error"] = {"type": type(e).__name__, "message": str(e)}
-        _emit(report, args)
-        return 2
-    except AnalysisError as e:
-        report["error"] = {"type": type(e).__name__, "message": str(e)}
-        _emit(report, args)
-        return 1
-    except TeamError as e:
-        report["error"] = {"type": type(e).__name__, "message": str(e)}
-        _emit(report, args)
-        return 1
+        return code
     _emit(report, args)
     # `validate` reports an invalid file rather than raising, but an
     # invalid input is still a validation failure for the exit code.

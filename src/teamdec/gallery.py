@@ -31,7 +31,7 @@ from .convexity import (
     certify_team_convexity,
     grid_convexity_test,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, ValidationError
 from .infostruct import (
     SubsystemAnnotation,
     is_stochastically_decoupled,
@@ -406,7 +406,7 @@ class SquareWaveFamily:
 
 def square_wave(n: int) -> SquareWaveFamily:
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     m = 2 * n
     cells = tuple((Fraction(j, m), Fraction(j + 1, m)) for j in range(m))
     labels = [f"[{lo},{hi})" for lo, hi in cells]
@@ -495,7 +495,7 @@ class Example1Bundle:
 
 def example1(step: float = 0.01) -> Example1Bundle:
     if step <= 0 or step > 1:
-        raise ValueError(f"step must be in (0, 1], got {step}")
+        raise ValidationError(f"step must be in (0, 1], got {step}")
     n_points = int(round(1.0 / step)) + 1
     u_vals = np.linspace(1.0, 2.0, n_points)
 

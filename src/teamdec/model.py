@@ -390,59 +390,69 @@ def _history_labels(problem: TeamProblem, k: int, idx: tuple) -> tuple:
 
 
 def _policy_matrices(problem: TeamProblem, profile) -> list:
-    if isinstance(profile, DeterministicProfile):
-        return profile.matrices(problem)
-    if isinstance(profile, RandomizedProfile):
+    if isinstance(profile, (DeterministicProfile, RandomizedProfile)):
         return profile.matrices(problem)
     raise ValidationError(f"unsupported profile type {type(profile).__name__}")
 
 
-def expected_cost(problem: TeamProblem, profile) -> float:
-    """Exact expected cost of a profile by sequential summation.
+def _action_factor(kernel: np.ndarray, policy: np.ndarray) -> np.ndarray:
+    """DM k's action factor G_k = kernel_k @ policy_k: its action's law
+    given the history, on axes ([batch,] omega0, u1, ..., uk).  The chain
+    folds below multiply these, so they never hold a measurement axis and
+    the full joint is never materialized.  A leading batch axis on the
+    policy leads the factor and every fold."""
+    g = kernel.reshape(-1, kernel.shape[-1]) @ policy
+    return g.reshape(policy.shape[:-2] + kernel.shape[:-1] + policy.shape[-1:])
 
-    Measurement axes are contracted away one decision maker at a time,
-    so the full joint is never materialized; no sampling is involved.
+
+def _forward_law(prior: np.ndarray, kernels: Sequence, policies: Sequence) -> np.ndarray:
+    """Law of (omega0, u1, ..., uk) for the first k = len(policies) DMs."""
+    law = prior
+    for kernel, policy in zip(kernels, policies):
+        g = _action_factor(kernel, policy)
+        g *= law[..., None]
+        law = g
+    return law
+
+
+def _value_to_go(kernels: Sequence, policies: Sequence, cost: np.ndarray) -> np.ndarray:
+    """Expected cost given (omega0, u1, ..., uk) when the last
+    len(policies) DMs follow ``policies``; ``kernels`` are theirs."""
+    value = cost
+    for kernel, policy in zip(reversed(kernels), reversed(policies)):
+        g = _action_factor(kernel, policy)
+        g *= value
+        value = g.sum(axis=-1)
+    return value
+
+
+def _chain_cost(prior, kernels, policies, cost: np.ndarray):
+    """The forward law of all DMs dotted with the cost (per batch entry)."""
+    law = _forward_law(prior, kernels, policies)
+    lead = law.shape[: law.ndim - cost.ndim]
+    return law.reshape(lead + (cost.size,)) @ cost.reshape(-1)
+
+
+def expected_cost(problem: TeamProblem, profile) -> float:
+    """Exact expected cost of a profile: the law of (omega0, u1, ..., uN)
+    is folded forward from the prior one decision maker at a time and
+    dotted with the cost.  The full joint is never materialized; no
+    sampling is involved.
     """
     mats = _policy_matrices(problem, profile)
-    n = problem.n_dms
-    y_id, out_id = n + 1, n + 2  # scratch einsum axis ids
-    acc = problem.prior.mass  # axes: (omega,) then (omega, u1, ..., uk)
-    for k in range(1, n + 1):
-        acc_sub = [0] + list(range(1, k))
-        kern_sub = [0] + list(range(1, k)) + [y_id]
-        pol_sub = [y_id, k]
-        out_sub = [0] + list(range(1, k + 1))
-        acc = np.einsum(
-            acc, acc_sub,
-            problem.kernels[k - 1].table, kern_sub,
-            mats[k - 1], pol_sub,
-            out_sub,
-        )
-    return float(np.einsum(acc, list(range(n + 1)), problem.cost.table, list(range(n + 1)), []))
+    kernels = [k.table for k in problem.kernels]
+    return float(_chain_cost(problem.prior.mass, kernels, mats, problem.cost.table))
 
 
 def expected_cost_batch(problem: TeamProblem, stacked_kernels: Sequence[np.ndarray]) -> np.ndarray:
     """Expected costs for a batch of randomized profiles at once.
 
     ``stacked_kernels[k]`` has shape (B, |Y_{k+1}|, |U_{k+1}|); returns a
-    length-B vector.  Same arithmetic as ``expected_cost``, batched.
+    length-B vector.  Same forward fold as ``expected_cost``, batched.
     """
-    n = problem.n_dms
-    y_id, b_id = n + 1, n + 2
-    acc = problem.prior.mass
-    acc_sub = [0]
-    for k in range(1, n + 1):
-        kern_sub = [0] + list(range(1, k)) + [y_id]
-        pol_sub = [b_id, y_id, k]
-        out_sub = [b_id, 0] + list(range(1, k + 1))
-        acc = np.einsum(
-            acc, acc_sub,
-            problem.kernels[k - 1].table, kern_sub,
-            np.asarray(stacked_kernels[k - 1], dtype=float), pol_sub,
-            out_sub,
-        )
-        acc_sub = out_sub
-    return np.einsum(acc, acc_sub, problem.cost.table, list(range(n + 1)), [b_id])
+    mats = [np.asarray(m, dtype=float) for m in stacked_kernels]
+    kernels = [k.table for k in problem.kernels]
+    return _chain_cost(problem.prior.mass, kernels, mats, problem.cost.table)
 
 
 def induced_joint(problem: TeamProblem, profile, cap: int = TABLE_CAP) -> np.ndarray:
@@ -458,14 +468,18 @@ def induced_joint(problem: TeamProblem, profile, cap: int = TABLE_CAP) -> np.nda
     if cells > cap:
         raise CapExceeded(cells, cap)
     mats = _policy_matrices(problem, profile)
-    n = problem.n_dms
+    return _full_joint(problem, mats, lambda k: [2 * k - 1, 2 * k])
+
+
+def _full_joint(problem: TeamProblem, policies: Sequence, policy_axes) -> np.ndarray:
+    """prior x kernels x policies over every joint axis, where DM k's
+    policy table sits on the joint axes ``policy_axes(k)``."""
     operands = [problem.prior.mass, [0]]
-    for k in range(1, n + 1):
+    for k in range(1, problem.n_dms + 1):
         kern_sub = [0] + [2 * j for j in range(1, k)] + [2 * k - 1]
         operands += [problem.kernels[k - 1].table, kern_sub]
-        operands += [mats[k - 1], [2 * k - 1, 2 * k]]
-    out_sub = list(range(2 * n + 1))
-    return np.einsum(*operands, out_sub)
+        operands += [policies[k - 1], policy_axes(k)]
+    return np.einsum(*operands, list(range(2 * problem.n_dms + 1)))
 
 
 def joint_axes(problem: TeamProblem) -> dict:

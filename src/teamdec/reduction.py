@@ -25,7 +25,9 @@ from .model import (
     MeasurementKernel,
     Pmf,
     TeamProblem,
+    _chain_cost,
     _history_labels,
+    _policy_matrices,
     expected_cost,
 )
 
@@ -65,22 +67,19 @@ class StaticReduction:
         return out
 
     def reduced_expected_cost(self, profile) -> float:
-        """Expected cost of the reduced problem under a profile, by the
-        same sequential contraction as the original problem but driven
-        by reference-times-weight factors; the full reduced table is
-        never materialized."""
-        shadow = TeamProblem(
-            self.problem.omega0,
-            self.problem.prior,
-            self.problem.y_spaces,
-            self.problem.u_spaces,
-            [
-                MeasurementKernel(t + 1, k)
-                for t, k in enumerate(self.reweighted_kernels())
-            ],
-            self.problem.cost,
+        """Expected cost of the reduced problem under a profile: the same
+        forward fold as the original problem's, driven by
+        reference-times-weight kernels (Witsenhausen's change of
+        measure).  The full reduced table is never materialized."""
+        mats = _policy_matrices(self.problem, profile)
+        return float(
+            _chain_cost(
+                self.problem.prior.mass,
+                self.reweighted_kernels(),
+                mats,
+                self.problem.cost.table,
+            )
         )
-        return expected_cost(shadow, profile)
 
     def exogenous_size(self) -> int:
         n = len(self.problem.omega0)

@@ -9,7 +9,6 @@ first-order (directional-derivative) test at a candidate optimum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +25,9 @@ from .model import (
     DeterministicProfile,
     RandomizedProfile,
     TeamProblem,
+    _forward_law,
+    _policy_matrices,
+    _value_to_go,
     expected_cost,
     expected_cost_batch,
 )
@@ -44,23 +46,37 @@ class SolveResult:
     n_profiles: int
 
 
-def _profile_space(problem: TeamProblem):
-    """Per-DM iterator factories over policy maps, lexicographic with
-    DM 1 most significant and action indices least significant."""
-    sizes = []
-    for k in range(1, problem.n_dms + 1):
-        ny = len(problem.y_spaces[k - 1])
-        nu = len(problem.u_spaces[k - 1])
-        sizes.append((ny, nu))
-    return sizes
+def _profile_maps(problem: TeamProblem, count: int):
+    """The action maps of the first ``count`` deterministic profiles, in
+    lexicographic order: DM 1's map most significant and, within a map,
+    the action for measurement index 0 most significant.  Yields them
+    ``_CHUNK`` profiles at a time, per DM an int array of shape
+    (B, |Y_k|).  This is the one walk over policy maps in the package."""
+    radices, splits = [], []
+    for y, u in zip(problem.y_spaces, problem.u_spaces):
+        radices += [len(u)] * len(y)
+        splits.append(len(radices))
+    for start in range(0, count, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, count))
+        digits = np.empty((rest.size, len(radices)), dtype=int)
+        for c in range(len(radices) - 1, -1, -1):
+            rest, digits[:, c] = np.divmod(rest, radices[c])
+        yield np.split(digits, splits[:-1], axis=1)
+
+
+def _profile_values(problem: TeamProblem, count: int):
+    """Expected costs of the first ``count`` profiles, one batched chain
+    contraction per chunk of ``_profile_maps``: yields (maps, values)."""
+    eyes = [np.eye(len(u)) for u in problem.u_spaces]
+    for maps in _profile_maps(problem, count):
+        yield maps, expected_cost_batch(problem, [e[m] for e, m in zip(eyes, maps)])
 
 
 def iter_profiles(problem: TeamProblem):
     """Yield every deterministic profile in lexicographic order."""
-    sizes = _profile_space(problem)
-    per_dm = [itertools.product(range(nu), repeat=ny) for ny, nu in sizes]
-    for maps in itertools.product(*per_dm):
-        yield DeterministicProfile([np.array(m, dtype=int) for m in maps])
+    for maps in _profile_maps(problem, problem.n_deterministic_profiles()):
+        for row in zip(*maps):
+            yield DeterministicProfile(row)
 
 
 def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
@@ -72,49 +88,15 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     total = problem.n_deterministic_profiles()
     if total > cap:
         raise CapExceeded(total, cap)
-    sizes = _profile_space(problem)
-    eyes = [np.eye(nu) for _, nu in sizes]
-
-    best_val = np.inf
-    best_idx = -1
-    best_maps = None
-    buf = []
+    best_val, best_idx, best_row = np.inf, -1, None
     scanned = 0
-
-    def flush():
-        nonlocal best_val, best_idx, best_maps, scanned
-        if not buf:
-            return
-        stacked = []
-        for d, (ny, nu) in enumerate(sizes):
-            maps = np.array([m[d] for m in buf], dtype=int)
-            stacked.append(eyes[d][maps])
-        vals = expected_cost_batch(problem, stacked)
+    for maps, vals in _profile_values(problem, total):
         j = int(np.argmin(vals))
         if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_idx = scanned + j
-            best_maps = buf[j]
-        scanned += len(buf)
-        buf.clear()
-
-    per_dm = [itertools.product(range(nu), repeat=ny) for ny, nu in sizes]
-    for maps in itertools.product(*per_dm):
-        buf.append(maps)
-        if len(buf) >= _CHUNK:
-            flush()
-    flush()
-
-    profile = DeterministicProfile([np.array(m, dtype=int) for m in best_maps])
-    return SolveResult(best_val, profile, best_idx, total)
-
-
-def _policy_matrices(problem: TeamProblem, profile) -> list:
-    if isinstance(profile, DeterministicProfile):
-        return profile.matrices(problem)
-    if isinstance(profile, RandomizedProfile):
-        return list(profile.kernels)
-    raise TypeError(f"unsupported profile type {type(profile).__name__}")
+            best_val, best_idx = float(vals[j]), scanned + j
+            best_row = [m[j] for m in maps]
+        scanned += len(vals)
+    return SolveResult(best_val, DeterministicProfile(best_row), best_idx, total)
 
 
 def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
@@ -123,30 +105,27 @@ def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
 
     Entry (y, u) is the contribution to the expected cost from outcomes
     where DM i observes y, if it then plays u.  Summing the row minima
-    gives the best-response value.
+    gives the best-response value.  It is the forward law of DMs
+    1..i-1, times DM i's kernel, contracted with the value-to-go of
+    DMs i+1..N folded backward from the cost.
     """
-    n = problem.n_dms
     mats = _policy_matrices(problem, profile)
-    operands = [problem.prior.mass, [0]]
-    for k in range(1, n + 1):
-        sub = [0] + [2 * j for j in range(1, k)] + [2 * k - 1]
-        operands += [problem.kernels[k - 1].table, sub]
-        if k != i:
-            operands += [mats[k - 1], [2 * k - 1, 2 * k]]
-    operands += [problem.cost.table, [0] + [2 * k for k in range(1, n + 1)]]
-    return np.einsum(*operands, [2 * i - 1, 2 * i], optimize=True)
+    kernels = [k.table for k in problem.kernels]
+    law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
+    value = _value_to_go(kernels[i:], mats[i:], problem.cost.table)
+    kernel = kernels[i - 1]
+    weighted = law[..., None] * value
+    return kernel.reshape(-1, kernel.shape[-1]).T @ weighted.reshape(-1, value.shape[-1])
 
 
 def measurement_marginal(problem: TeamProblem, profile, i: int) -> np.ndarray:
-    """Distribution of DM i's measurement (depends only on earlier DMs)."""
+    """Distribution of DM i's measurement (depends only on earlier DMs):
+    the forward law of DMs 1..i-1 times DM i's kernel, summed."""
     mats = _policy_matrices(problem, profile)
-    operands = [problem.prior.mass, [0]]
-    for k in range(1, i + 1):
-        sub = [0] + [2 * j for j in range(1, k)] + [2 * k - 1]
-        operands += [problem.kernels[k - 1].table, sub]
-        if k != i:
-            operands += [mats[k - 1], [2 * k - 1, 2 * k]]
-    return np.einsum(*operands, [2 * i - 1], optimize=True)
+    kernels = [k.table for k in problem.kernels]
+    law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
+    kernel = kernels[i - 1]
+    return law.reshape(-1) @ kernel.reshape(-1, kernel.shape[-1])
 
 
 def best_response(
@@ -159,7 +138,7 @@ def best_response(
     is randomized).  The other DMs keep their given policies, so for a
     randomized profile the result is a randomized profile with DM i's
     kernel replaced by a point-mass one.  Returns (new full profile, its
-    expected cost).
+    expected cost); the cost is read off the response table.
     """
     table = response_table(problem, profile, i)
     marginal = measurement_marginal(problem, profile, i)
@@ -170,6 +149,7 @@ def best_response(
         incumbent = np.zeros(table.shape[0], dtype=int)
     dead = marginal <= 0
     new_map[dead] = incumbent[dead]
+    value = float(table[np.arange(table.shape[0]), new_map].sum())
 
     if isinstance(profile, DeterministicProfile):
         actions = [a.copy() for a in profile.actions]
@@ -180,7 +160,7 @@ def best_response(
         nu = len(problem.u_spaces[i - 1])
         kernels[i - 1] = np.eye(nu)[new_map]
         new_profile = RandomizedProfile(kernels)
-    return new_profile, expected_cost(problem, new_profile)
+    return new_profile, value
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,10 @@ from .model import (
     DeterministicProfile,
     RandomizedProfile,
     TeamProblem,
+    _full_joint,
     induced_joint,
 )
+from .solvers import iter_profiles
 
 
 @dataclass(frozen=True)
@@ -323,15 +325,7 @@ def enumerate_LA(problem: TeamProblem, cap: int = ENUM_CAP) -> list:
     count = problem.n_deterministic_profiles()
     if count > cap:
         raise CapExceeded(count, cap)
-    out = []
-    per_dm = [
-        itertools.product(range(len(problem.u_spaces[k])), repeat=len(problem.y_spaces[k]))
-        for k in range(problem.n_dms)
-    ]
-    for maps in itertools.product(*per_dm):
-        prof = DeterministicProfile([np.array(m, dtype=int) for m in maps])
-        out.append(induce_LA(problem, prof))
-    return out
+    return [induce_LA(problem, prof) for prof in iter_profiles(problem)]
 
 
 @dataclass(frozen=True)
@@ -380,13 +374,7 @@ class HistoryProfile:
 
 def induce_history_profile(problem: TeamProblem, hp: HistoryProfile) -> StrategicMeasure:
     """Joint induced by history-dependent behavioral kernels."""
-    n = problem.n_dms
-    operands = [problem.prior.mass, [0]]
-    for k in range(1, n + 1):
-        kern_sub = [0] + [2 * j for j in range(1, k)] + [2 * k - 1]
-        operands += [problem.kernels[k - 1].table, kern_sub]
-        operands += [hp.kernels[k - 1], list(range(1, 2 * k + 1))]
-    joint = np.einsum(*operands, list(range(2 * n + 1)))
+    joint = _full_joint(problem, hp.kernels, lambda k: list(range(1, 2 * k + 1)))
     return StrategicMeasure(problem, joint, origin="history-profile")
 
 

@@ -1,5 +1,7 @@
 """Shared builders for seeded random team instances."""
 
+import itertools
+
 import numpy as np
 
 from teamdec.model import (
@@ -166,3 +168,17 @@ def naive_expected_cost(problem, profile):
         if pw > 0:
             rec(w, 0, [], [], pw)
     return total
+
+
+def enumerate_profiles_literal(problem):
+    """Fresh lexicographic enumeration: DM 1 most significant, action for
+    measurement index 0 most significant within a DM."""
+    per_dm = [
+        itertools.product(
+            range(len(problem.u_spaces[k])),
+            repeat=len(problem.y_spaces[k]),
+        )
+        for k in range(problem.n_dms)
+    ]
+    for maps in itertools.product(*per_dm):
+        yield DeterministicProfile([np.array(m, dtype=int) for m in maps])

@@ -24,7 +24,13 @@ from teamdec.probio import measure_to_dict, save_problem
 from teamdec.solvers import pbp_iterate
 from teamdec.strategic import induce_LA, mix
 
-from conftest import random_profile, random_team, relay_team
+from conftest import (
+    enumerate_profiles_literal,
+    naive_expected_cost,
+    random_profile,
+    random_team,
+    relay_team,
+)
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +147,16 @@ def test_missing_file_and_broken_json_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"spaces": [unclosed')
     code, report = run_cli(capsys, "classify", str(broken))
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+
+    code, report = run_cli(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert report["error"]["type"] == "IsADirectory"
+
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, report = run_cli(capsys, "validate", str(not_utf8))
     assert code == 2
     assert report["error"]["type"] == "ParseError"
 
@@ -285,6 +301,19 @@ def test_reduce_dynamic_team_reports_equivalence(tmp_path, capsys):
     assert code == 2
     assert report["error"]["type"] == "ValidationError"
 
+    # an unknown label, an entry that is not a mass map and a mass that is
+    # not a number name their DM
+    for bad, names in (
+        ([{"nope": 1.0}, {"0": 1.0}], ("DM 1", "'nope'")),
+        ([{"0": 1.0}, [1.0, 0.0]], ("DM 2", "[1.0, 0.0]")),
+        ([{"0": "x"}, {"0": 1.0}], ("DM 1", "'x'")),
+    ):
+        refs_path.write_text(json.dumps(bad))
+        code, report = run_cli(capsys, "reduce", path, "--reference", str(refs_path))
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+        assert all(name in report["error"]["message"] for name in names)
+
 
 def test_reduce_cap_skips_materialization(tmp_path, capsys):
     path = write_team(tmp_path, "team.json", random_team(4, dynamic=True))
@@ -343,6 +372,10 @@ def test_strategic_enumerate_matches_solve(tmp_path, capsys):
     assert report["min_value"] == pytest.approx(brute["value"], abs=1e-12)
     assert report["argmin_index"] == brute["profile_index"]
     assert min(report["first_values"]) == pytest.approx(report["min_value"], abs=1e-12)
+    # the values follow the lexicographic profile order
+    team = random_team(0)
+    want = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    assert report["first_values"] == pytest.approx(want, abs=1e-12)
 
     code, _ = run_cli(capsys, "strategic", "enumerate", path, "--cap", "5")
     assert code == 1
@@ -455,6 +488,10 @@ def test_gallery_square_wave(capsys):
     first = report["intervals"][0]
     assert first["lo"] == "0" and first["hi"] == "1/20"
 
+    code, report = run_cli(capsys, "gallery", "square-wave", "--n", "0")
+    assert code == 2
+    assert report["error"]["type"] == "ValidationError"
+
 
 def test_gallery_example1(capsys):
     code, report = run_cli(capsys, "gallery", "example1", "--step", "0.5")
@@ -464,6 +501,10 @@ def test_gallery_example1(capsys):
     opt = report["scan_optimum"]
     assert opt["u_on_first_cell"] == pytest.approx(2.0)
     assert opt["value"] > 0
+
+    code, report = run_cli(capsys, "gallery", "example1", "--step", "0")
+    assert code == 2
+    assert report["error"]["type"] == "ValidationError"
 
 
 def test_gallery_decoupled(capsys):

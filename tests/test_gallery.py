@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from teamdec.convexity import VerdictKind, policy_midpoint_test
-from teamdec.errors import CapExceeded
+from teamdec.errors import CapExceeded, ValidationError
 from teamdec.gallery import (
     decoupled_example,
     example1,
@@ -271,9 +271,9 @@ def test_square_wave_large_n_caps_dense_paths_only():
 
 
 def test_square_wave_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         square_wave(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         square_wave(-2)
 
 
@@ -327,9 +327,9 @@ def test_example1_fine_scan_structure():
 
 
 def test_example1_rejects_bad_step():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         example1(step=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         example1(step=1.5)
 
 

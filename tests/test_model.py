@@ -63,6 +63,12 @@ def test_expected_cost_matches_naive_summation_on_seeded_sweep():
         got = expected_cost(team, prof)
         want = naive_expected_cost(team, prof)
         assert got == pytest.approx(want, abs=1e-12), f"seed {seed}"
+    for seed in range(5):
+        team = random_team(seed, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True)
+        prof = random_profile(team, seed + 1000)
+        got = expected_cost(team, prof)
+        want = naive_expected_cost(team, prof)
+        assert got == pytest.approx(want, abs=1e-12), f"3-DM seed {seed}"
 
 
 def test_expected_cost_accepts_randomized_profiles():
@@ -74,15 +80,18 @@ def test_expected_cost_accepts_randomized_profiles():
 
 
 def test_batch_evaluation_matches_single_evaluation():
-    team = random_team(7, dynamic=True)
-    profiles = [random_profile(team, s) for s in range(40)]
-    stacked = [
-        np.stack([p.matrices(team)[d] for p in profiles])
-        for d in range(team.n_dms)
-    ]
-    batch = expected_cost_batch(team, stacked)
-    singles = np.array([expected_cost(team, p) for p in profiles])
-    assert np.allclose(batch, singles, atol=1e-12)
+    for team in (
+        random_team(7, dynamic=True),
+        random_team(7, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True),
+    ):
+        profiles = [random_profile(team, s) for s in range(40)]
+        stacked = [
+            np.stack([p.matrices(team)[d] for p in profiles])
+            for d in range(team.n_dms)
+        ]
+        batch = expected_cost_batch(team, stacked)
+        singles = np.array([expected_cost(team, p) for p in profiles])
+        assert np.allclose(batch, singles, atol=1e-12)
 
 
 def test_induced_joint_is_a_probability_with_prior_marginal():

@@ -2,8 +2,6 @@
 response tables against per-map summation, cyclic best-response descent,
 the mixture relaxation, and the quadrature-team optimality checks."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -27,25 +25,12 @@ from teamdec.solvers import (
 )
 
 from conftest import (
+    enumerate_profiles_literal,
     naive_expected_cost,
     random_profile,
     random_randomized_profile,
     random_team,
 )
-
-
-def enumerate_profiles_literal(problem):
-    """Fresh lexicographic enumeration: DM 1 most significant, action for
-    measurement index 0 most significant within a DM."""
-    per_dm = [
-        itertools.product(
-            range(len(problem.u_spaces[k])),
-            repeat=len(problem.y_spaces[k]),
-        )
-        for k in range(problem.n_dms)
-    ]
-    for maps in itertools.product(*per_dm):
-        yield DeterministicProfile([np.array(m, dtype=int) for m in maps])
 
 
 def test_brute_force_matches_literal_scan():
@@ -91,11 +76,14 @@ def test_brute_force_cap():
 def test_response_table_decomposes_the_cost():
     """For any map of DM i, the cost with others fixed is the sum of the
     response-table entries the map selects."""
-    for seed in (0, 5):
-        team = random_team(seed, dynamic=True)
+    for seed, team in (
+        (0, random_team(0, dynamic=True)),
+        (5, random_team(5, dynamic=True)),
+        (1, random_team(1, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True)),
+    ):
         prof = random_profile(team, seed + 10)
         rng = np.random.default_rng(seed)
-        for i in (1, 2):
+        for i in range(1, team.n_dms + 1):
             table = response_table(team, prof, i)
             ny, nu = table.shape
             for _ in range(6):
@@ -109,17 +97,23 @@ def test_response_table_decomposes_the_cost():
 
 
 def test_response_table_works_against_randomized_coplayers():
-    team = random_team(2, dynamic=True)
-    prof = random_randomized_profile(team, 4)
-    table = response_table(team, prof, 2)
-    # playing the row minima equals the best-response value, with the
-    # other DM keeping its randomized policy
-    new_prof, val = best_response(team, prof, 2)
-    assert val == pytest.approx(float(table.min(axis=1).sum()), abs=1e-12)
-    assert val <= expected_cost(team, prof) + 1e-12
-    assert isinstance(new_prof, RandomizedProfile)
-    assert np.allclose(new_prof.kernels[0], prof.kernels[0], atol=0)
-    assert np.all(np.isin(new_prof.kernels[1], (0.0, 1.0)))
+    for team, i in (
+        (random_team(2, dynamic=True), 2),
+        (random_team(2, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True), 2),
+    ):
+        prof = random_randomized_profile(team, 4)
+        table = response_table(team, prof, i)
+        # playing the row minima equals the best-response value, with the
+        # other DMs keeping their randomized policies
+        new_prof, val = best_response(team, prof, i)
+        assert val == pytest.approx(float(table.min(axis=1).sum()), abs=1e-12)
+        assert val == pytest.approx(expected_cost(team, new_prof), abs=1e-12)
+        assert val <= expected_cost(team, prof) + 1e-12
+        assert isinstance(new_prof, RandomizedProfile)
+        for k in range(team.n_dms):
+            if k != i - 1:
+                assert np.allclose(new_prof.kernels[k], prof.kernels[k], atol=0)
+        assert np.all(np.isin(new_prof.kernels[i - 1], (0.0, 1.0)))
 
 
 def test_measurement_marginal_matches_literal_summation():
@@ -138,6 +132,20 @@ def test_measurement_marginal_matches_literal_summation():
                 p = team.prior.mass[w] * k1[w, y1] * mats[0][y1, u1]
                 want += p * k2[w, u1, :]
     got = measurement_marginal(team, prof, 2)
+    assert np.allclose(got, want, atol=1e-12)
+
+    # DM 3 of a three-DM team: its kernel depends on both earlier actions
+    team = random_team(6, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True)
+    prof = random_profile(team, 6)
+    k1, k2, k3 = (k.table for k in team.kernels)
+    a1, a2 = prof.actions[0], prof.actions[1]
+    want = np.zeros(len(team.y_spaces[2]))
+    for w in range(len(team.omega0)):
+        for y1 in range(len(team.y_spaces[0])):
+            for y2 in range(len(team.y_spaces[1])):
+                p = team.prior.mass[w] * k1[w, y1] * k2[w, a1[y1], y2]
+                want += p * k3[w, a1[y1], a2[y2], :]
+    got = measurement_marginal(team, prof, 3)
     assert np.allclose(got, want, atol=1e-12)
 
 
