@@ -47,7 +47,13 @@ from .probio import (
 )
 from .quadrature import QuadratureSpec, snap_profile
 from .reduction import static_reduce, verify_equivalence
-from .solvers import _profile_values, brute_force, mixture_lp, pbp_iterate
+from .solvers import (
+    _profile_values,
+    brute_force,
+    mixture_lp,
+    pbp_iterate,
+    seeded_profiles,
+)
 from .strategic import (
     check_membership_LA,
     check_membership_LM,
@@ -118,23 +124,6 @@ def _load(path: str) -> ProblemFile:
     return pf
 
 
-def _seeded_profiles(problem: TeamProblem, seed: int, count: int) -> list:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            DeterministicProfile(
-                [
-                    rng.integers(
-                        0, len(problem.u_spaces[d]), size=len(problem.y_spaces[d])
-                    )
-                    for d in range(problem.n_dms)
-                ]
-            )
-        )
-    return out
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -197,7 +186,7 @@ def cmd_reduce(args) -> dict:
                 mass[labels.index(key)] = float(v)
             references.append(Pmf(problem.y_spaces[d], mass))
     reduction = static_reduce(problem, references)
-    profiles = _seeded_profiles(problem, args.seed, 5)
+    profiles = seeded_profiles(problem, args.seed, 5)
     eq = verify_equivalence(reduction, profiles)
     report = {
         "input_digest": pf.digest,
@@ -255,14 +244,15 @@ def cmd_solve(args) -> dict:
         else:
             with open(args.init, "rb") as fh:
                 doc = json.loads(fh.read().decode("utf-8"))
-        if not isinstance(doc, dict) or "actions" not in doc:
+        actions = doc.get("actions") if isinstance(doc, dict) else None
+        if not isinstance(actions, list) or not all(
+            isinstance(a, list) and all(type(v) is int for v in a) for a in actions
+        ):
             raise ValidationError(
                 "--init needs a JSON object with an 'actions' list of "
-                "per-DM action index arrays"
+                "per-DM lists of integer action indices"
             )
-        init = DeterministicProfile(
-            [np.asarray(a, dtype=int) for a in doc["actions"]]
-        )
+        init = DeterministicProfile(actions)
     res = pbp_iterate(problem, init=init)
     return {
         "input_digest": pf.digest,
@@ -383,7 +373,7 @@ def cmd_gallery(args) -> dict:
                     lambda y: np.zeros_like(y),
                     lambda y: np.zeros_like(y),
                 ),
-            ] + _seeded_profiles(bundle.problem, seed, 2)
+            ] + seeded_profiles(bundle.problem, seed, 2)
             eq = verify_equivalence(bundle.reduction, profiles)
             report["equivalence"] = {
                 "profiles": len(profiles),

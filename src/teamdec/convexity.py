@@ -19,6 +19,7 @@ spaced numeric action grids so that index midpoints are value midpoints.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -35,6 +36,7 @@ from .infostruct import (
     sigma_field_of,
 )
 from .model import DeterministicProfile, TeamProblem, expected_cost
+from .solvers import seeded_profiles
 
 
 class VerdictKind(Enum):
@@ -118,11 +120,27 @@ def _uniform_axes(axes: Sequence) -> list:
     return out
 
 
+def _half_offsets(shape: tuple):
+    """Half-offsets h whose first nonzero entry is positive: each pair
+    of lattice points with an on-lattice midpoint is (a, a + 2h) for
+    exactly one of them, with a first in flat order."""
+    ranges = [range(-((n - 1) // 2), (n - 1) // 2 + 1) for n in shape]
+    for h in itertools.product(*ranges):
+        if next((x for x in h if x), 0) > 0:
+            yield h
+
+
+def _offset_slices(n: int, h: int) -> tuple:
+    """Slices of an axis of length n holding a, a + h and a + 2h for
+    every a with both a and a + 2h in range(n)."""
+    lo, m = max(0, -2 * h), n - 2 * abs(h)
+    return tuple(slice(lo + j * h, lo + j * h + m) for j in range(3))
+
+
 def grid_convexity_test(
     values: np.ndarray,
     axes: Sequence,
     tol: float = MIDPOINT_TOL,
-    fail_fast: bool = False,
 ) -> GridConvexityReport:
     """Check midpoint convexity of a table over a uniform action lattice.
 
@@ -131,66 +149,47 @@ def grid_convexity_test(
     of the endpoint values by more than ``tol``.  The report also states
     whether the margins were strict at rate STRICT_RATE per squared
     distance (informational only; certification never requires it).
+    Pairs are scanned one half-offset h at a time, as slices holding
+    f(a), f(a + h) and f(a + 2h) for every a; the reported violation is
+    the first pair (a, a + 2h) in flat order.
     """
     values = np.asarray(values, dtype=float)
     grids = _uniform_axes(axes)
-    if values.shape != tuple(len(g) for g in grids):
+    shape = values.shape
+    if shape != tuple(len(g) for g in grids):
         raise ValidationError(
-            f"table shape {values.shape} does not match axes "
+            f"table shape {shape} does not match axes "
             f"{tuple(len(g) for g in grids)}"
         )
-    flat = values.reshape(-1)
-    n = flat.size
-    shape = values.shape
-    multi = np.stack(
-        np.unravel_index(np.arange(n), shape), axis=1
-    )  # (n, d) integer coordinates
-    coords = np.stack(
-        [grids[j][multi[:, j]] for j in range(len(grids))], axis=1
-    )  # (n, d) numeric coordinates
 
     min_margin = np.inf
     strict = True
     n_pairs = 0
     first: Optional[GridViolation] = None
 
-    for a in range(n):
-        m_b = multi[a + 1 :]
-        if m_b.size == 0:
-            continue
-        s = multi[a] + m_b
-        on_lattice = (s % 2 == 0).all(axis=1)
-        if not on_lattice.any():
-            continue
-        s = s[on_lattice]
-        b_idx = np.nonzero(on_lattice)[0] + a + 1
-        mid_flat = np.ravel_multi_index(tuple((s // 2).T), shape)
-        avg = 0.5 * (flat[a] + flat[b_idx])
-        gap = flat[mid_flat] - avg
-        n_pairs += len(b_idx)
+    for h in _half_offsets(shape):
+        sa, sm, sb = zip(*(_offset_slices(n, x) for n, x in zip(shape, h)))
+        fa, fm, fb = values[sa], values[sm], values[sb]
+        gap = fm - 0.5 * (fa + fb)
+        n_pairs += gap.size
 
         margin = -gap
-        worst = float(margin.min())
-        if worst < min_margin:
-            min_margin = worst
-        sq = ((coords[a] - coords[b_idx]) ** 2).sum(axis=1)
-        if strict and np.any(margin < STRICT_RATE * sq - tol):
-            strict = False
+        min_margin = min(min_margin, float(margin.min()))
+        if strict:
+            # squared distances from the grid values, summed axis by axis
+            sq = sum(np.ix_(*[(g[s] - g[t]) ** 2 for g, s, t in zip(grids, sa, sb)]))
+            strict = not np.any(margin < STRICT_RATE * sq - tol)
 
         bad = gap > tol
-        if bad.any() and first is None:
-            j = int(np.argmax(bad))
-            first = GridViolation(
-                tuple(int(v) for v in multi[a]),
-                tuple(int(v) for v in multi[b_idx[j]]),
-                tuple(int(v) for v in s[j] // 2),
-                float(flat[a]),
-                float(flat[b_idx[j]]),
-                float(flat[mid_flat[j]]),
-                float(gap[j]),
-            )
-            if fail_fast:
-                return GridConvexityReport(False, False, min_margin, n_pairs, first)
+        if bad.any():
+            i = np.unravel_index(int(np.argmax(bad)), gap.shape)
+            a = tuple(int(s.start + k) for s, k in zip(sa, i))
+            b = tuple(x + 2 * y for x, y in zip(a, h))
+            if first is None or (a, b) < (first.index_a, first.index_b):
+                mid = tuple(x + y for x, y in zip(a, h))
+                first = GridViolation(
+                    a, b, mid, float(fa[i]), float(fb[i]), float(fm[i]), float(gap[i])
+                )
 
     if not np.isfinite(min_margin):
         min_margin = 0.0
@@ -362,13 +361,8 @@ def default_pair_candidates(
                     _mirror_pairs(problem, DeterministicProfile(actions))
                 )
 
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        actions = [
-            rng.integers(0, len(problem.u_spaces[d]), size=len(problem.y_spaces[d]))
-            for d in range(problem.n_dms)
-        ]
-        pairs.extend(_mirror_pairs(problem, DeterministicProfile(actions)))
+    for profile in seeded_profiles(problem, seed, n_random):
+        pairs.extend(_mirror_pairs(problem, profile))
     return pairs
 
 
@@ -406,7 +400,7 @@ def certify_team_convexity(
     records = []
     join_violation = None
     for b, mass, table in zip(cond.block_indices, cond.masses, cond.tables):
-        rep = grid_convexity_test(table, u_vals, tol=tol, fail_fast=True)
+        rep = grid_convexity_test(table, u_vals, tol=tol)
         if not rep.passed:
             join_violation = (b, rep.violation)
             notes.append(
@@ -425,7 +419,7 @@ def certify_team_convexity(
 
     cond_m = conditional_cost(problem, meet)
     for b, table in zip(cond_m.block_indices, cond_m.tables):
-        rep = grid_convexity_test(table, u_vals, tol=tol, fail_fast=True)
+        rep = grid_convexity_test(table, u_vals, tol=tol)
         if rep.passed:
             continue
         v = rep.violation

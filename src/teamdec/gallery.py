@@ -53,7 +53,7 @@ from .quadrature import (
     snap_profile,
 )
 from .reduction import StaticReduction, static_reduce
-from .solvers import SolveResult, brute_force, pbp_iterate
+from .solvers import SolveResult, brute_force, pbp_iterate, seeded_profiles
 from .strategic import StrategicMeasure, induce_LA
 
 
@@ -268,20 +268,7 @@ class SignalingBundle(GaussianBundle):
                 lambda y: c * self.sigma * np.sign(y),
             ),
         ]
-        rng = np.random.default_rng(seed)
-        for _ in range(n_random):
-            inits.append(
-                DeterministicProfile(
-                    [
-                        rng.integers(
-                            0,
-                            len(self.problem.u_spaces[d]),
-                            size=len(self.problem.y_spaces[d]),
-                        )
-                        for d in range(2)
-                    ]
-                )
-            )
+        inits += seeded_profiles(self.problem, seed, n_random)
         best = np.inf
         for init in inits:
             res = pbp_iterate(self.problem, init=init)

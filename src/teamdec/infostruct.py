@@ -262,14 +262,8 @@ def classify(problem: TeamProblem) -> ISClass:
     refining DM k's, and nonclassical otherwise.
     """
     graph = precedence_graph(problem)
-    n = problem.n_dms
     if not graph.edges:
-        nested = all(
-            information_nested(problem, k, i)
-            for i in range(2, n + 1)
-            for k in range(1, i)
-        )
-        return ISClass.CLASSICAL if nested else ISClass.STATIC
+        return ISClass.CLASSICAL if nested_along_order(problem) else ISClass.STATIC
     if all(information_nested(problem, k, i) for (k, i) in graph.edges):
         return ISClass.PARTIALLY_NESTED
     return ISClass.NONCLASSICAL

@@ -205,6 +205,13 @@ class TeamProblem:
         return n
 
 
+def _check_policy_count(policies: Sequence, problem: TeamProblem) -> None:
+    if len(policies) != problem.n_dms:
+        raise DimensionMismatch(
+            f"profile has {len(policies)} policies for {problem.n_dms} DMs"
+        )
+
+
 @dataclass(frozen=True)
 class DeterministicProfile:
     """One pure policy per DM: an action index for each measurement index."""
@@ -233,6 +240,7 @@ class DeterministicProfile:
 
     def matrices(self, problem: TeamProblem) -> list:
         """One-hot (|Y_k|, |U_k|) stochastic matrices for this profile."""
+        _check_policy_count(self.actions, problem)
         out = []
         for k, a in enumerate(self.actions):
             ny, nu = len(problem.y_spaces[k]), len(problem.u_spaces[k])
@@ -269,6 +277,7 @@ class RandomizedProfile:
         object.__setattr__(self, "kernels", tuple(mats))
 
     def matrices(self, problem: TeamProblem) -> list:
+        _check_policy_count(self.kernels, problem)
         for k, m in enumerate(self.kernels):
             ny, nu = len(problem.y_spaces[k]), len(problem.u_spaces[k])
             if m.shape != (ny, nu):

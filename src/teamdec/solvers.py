@@ -79,6 +79,17 @@ def iter_profiles(problem: TeamProblem):
             yield DeterministicProfile(row)
 
 
+def seeded_profiles(problem: TeamProblem, seed: int, count: int) -> list:
+    """``count`` deterministic profiles with uniform random action maps,
+    drawn profile by profile and DM by DM from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    sizes = [(len(y), len(u)) for y, u in zip(problem.y_spaces, problem.u_spaces)]
+    return [
+        DeterministicProfile([rng.integers(0, nu, size=ny) for ny, nu in sizes])
+        for _ in range(count)
+    ]
+
+
 def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     """Scan all deterministic profiles; return the first minimizer.
 

@@ -248,23 +248,19 @@ def check_membership_LA(
     failures = list(verdict.failures)
     n = measure.problem.n_dms
     for k in range(1, n + 1):
-        y_ax, u_ax = 2 * k - 1, 2 * k
-        other = tuple(a for a in range(2 * n + 1) if a not in (y_ax, u_ax))
-        tab = measure.joint.sum(axis=other)
-        denom = tab.sum(axis=1)
-        for y in np.flatnonzero(denom > 0):
-            row = tab[y] / denom[y]
-            top = float(row.max())
-            if top < 1.0 - tol:
-                failures.append(
-                    FailureRecord(
-                        k,
-                        "point-mass",
-                        (measure.problem.y_spaces[k - 1].points[int(y)],),
-                        1.0 - top,
-                    )
+        # zero-mass rows come back as point masses and never fail
+        top = aggregate_policy(measure, k).max(axis=1)
+        bad = np.flatnonzero(top < 1.0 - tol)
+        if bad.size:
+            y = int(bad[0])
+            failures.append(
+                FailureRecord(
+                    k,
+                    "point-mass",
+                    (measure.problem.y_spaces[k - 1].points[y],),
+                    1.0 - float(top[y]),
                 )
-                break
+            )
     return MembershipVerdict(not failures, tuple(failures))
 
 

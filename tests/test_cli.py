@@ -233,11 +233,18 @@ def test_solve_pbp_init_inline_and_file(tmp_path, capsys):
     assert from_file["value"] == inline["value"]
     assert from_file["trace"] == inline["trace"]
 
-    code, report = run_cli(
-        capsys, "solve", path, "--method", "pbp", "--init", '{"wrong": 1}'
-    )
-    assert code == 2
-    assert report["error"]["type"] == "ValidationError"
+    bad_inits = {
+        '{"wrong": 1}': "ValidationError",
+        '{"actions": 5}': "ValidationError",
+        '{"actions": [["a", 0], [0, 0]]}': "ValidationError",
+        '{"actions": [[0.7, 0], [0, 0]]}': "ValidationError",
+        '{"actions": [[0, 0]]}': "DimensionMismatch",
+        '{"actions": [[0, 0], [0, 0], [0, 0]]}': "DimensionMismatch",
+    }
+    for bad, kind in bad_inits.items():
+        code, report = run_cli(capsys, "solve", path, "--method", "pbp", "--init", bad)
+        assert code == 2, bad
+        assert report["error"]["type"] == kind, bad
 
 
 def test_solve_cap_exceeded_exits_1(tmp_path, capsys):

@@ -2,9 +2,14 @@
 tables, conditional costs against manual summation, and the three-phase
 certificate on hand-built convex and non-convex teams."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teamdec.constants import MIDPOINT_TOL, STRICT_RATE
 from teamdec.errors import (
     NonDeterministicMeasurement,
     NonNumericActions,
@@ -21,6 +26,7 @@ from teamdec.model import (
     TeamProblem,
 )
 from teamdec.convexity import (
+    GridViolation,
     VerdictKind,
     certify_team_convexity,
     conditional_cost,
@@ -95,6 +101,71 @@ def test_grid_test_rejects_bad_axes_and_shapes():
         grid_convexity_test(np.zeros((2, 2)), [np.arange(3.0), np.arange(2.0)])
     single = grid_convexity_test(np.array([5.0]), [np.array([0.0])])
     assert single.passed and single.n_pairs == 0 and single.min_margin == 0.0
+
+
+def literal_midpoint_scan(values, axes, tol):
+    """Every pair of lattice points in flat order, one at a time: returns
+    (passed, strict, min_margin, n_pairs, first violation)."""
+    points = list(itertools.product(*(range(n) for n in values.shape)))
+    passed, strict, min_margin, n_pairs, first = True, True, None, 0, None
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            if any((x + y) % 2 for x, y in zip(a, b)):
+                continue
+            mid = tuple((x + y) // 2 for x, y in zip(a, b))
+            gap = values[mid] - 0.5 * (values[a] + values[b])
+            n_pairs += 1
+            if min_margin is None or -gap < min_margin:
+                min_margin = -gap
+            sq = 0.0
+            for axis, x, y in zip(axes, a, b):
+                sq = sq + (axis[x] - axis[y]) * (axis[x] - axis[y])
+            if -gap < STRICT_RATE * sq - tol:
+                strict = False
+            if gap > tol:
+                passed = False
+                if first is None:
+                    first = GridViolation(
+                        a, b, mid, float(values[a]), float(values[b]),
+                        float(values[mid]), float(gap),
+                    )
+    min_margin = 0.0 if min_margin is None else float(min_margin)
+    return passed, strict, min_margin, n_pairs, first
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    shape=st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
+    kind=st.sampled_from(["random", "constant", "convex", "concave"]),
+    curvature=st.sampled_from([1e-9, 1.0]),
+    half_steps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([MIDPOINT_TOL, 0.05]),
+)
+def test_grid_scan_matches_literal_pair_loop(
+    shape, kind, curvature, half_steps, seed, tol
+):
+    rng = np.random.default_rng(seed)
+    if half_steps:
+        # squared distance exactly 1 at unit half-offsets: a constant
+        # table then sits exactly on the strictness threshold
+        axes = [0.5 * np.arange(n) for n in shape]
+    else:
+        axes = [np.linspace(rng.uniform(-2, 0), rng.uniform(0.5, 3), n) for n in shape]
+    if kind == "random":
+        values = rng.standard_normal(shape)
+    elif kind == "constant":
+        values = np.full(shape, rng.uniform(-1, 1))
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        quad = sum(
+            curvature * rng.uniform(0.5, 2) * (m - rng.uniform(-1, 1)) ** 2
+            for m in mesh
+        )
+        values = quad if kind == "convex" else -quad
+    rep = grid_convexity_test(values, axes, tol=tol)
+    got = (rep.passed, rep.strict, rep.min_margin, rep.n_pairs, rep.violation)
+    assert got == literal_midpoint_scan(values, axes, tol)
 
 
 # ------------------------------------------------------ conditional costs

@@ -174,6 +174,12 @@ def test_profile_validation_errors():
         DeterministicProfile([[0, 0, 0], [0, 0]]).matrices(team)
     with pytest.raises(ValidationError):
         RandomizedProfile([np.array([[0.5, 0.6], [0.5, 0.5]])])
+    # one policy too few or too many for the two DMs
+    for count in (1, 3):
+        with pytest.raises(DimensionMismatch):
+            expected_cost(team, DeterministicProfile([[0, 0]] * count))
+        with pytest.raises(DimensionMismatch):
+            expected_cost(team, RandomizedProfile([np.eye(2)] * count))
 
 
 def test_deterministic_profile_from_callables():
