@@ -16,12 +16,13 @@ Point-mass action conditionals sharpen (b) to the deterministic class.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import ENUM_CAP, EQ_TOL, INPUT_MASS_TOL
+from .constants import ENUM_CAP, EQ_TOL, INPUT_MASS_TOL, TABLE_CAP
 from .errors import (
     CapExceeded,
     NonMember,
@@ -37,6 +38,8 @@ from .model import (
     induced_joint,
 )
 from .solvers import iter_profiles
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -317,10 +320,14 @@ def check_membership_LM(measure: StrategicMeasure, tol: float = EQ_TOL) -> bool:
 def enumerate_LA(problem: TeamProblem, cap: int = ENUM_CAP) -> list:
     """All deterministic-profile measures, in lexicographic profile order
     (DM 1's map most significant; within a map, measurement index 0 most
-    significant).  Raises CapExceeded when the count would exceed ``cap``."""
+    significant).  Raises CapExceeded when the count would exceed ``cap``,
+    or when the joints together would hold more than TABLE_CAP cells."""
     count = problem.n_deterministic_profiles()
     if count > cap:
         raise CapExceeded(count, cap)
+    cells = count * int(np.prod(problem.joint_shape()))
+    if cells > TABLE_CAP:
+        raise CapExceeded(cells, TABLE_CAP)
     return [induce_LA(problem, prof) for prof in iter_profiles(problem)]
 
 
@@ -336,20 +343,50 @@ class NonconvexityWitness:
     verdict: MembershipVerdict
 
 
+def _pairs_across_dms(problem: TeamProblem, count: int):
+    """Lexicographic pairs (a, b), a < b, of the first ``count`` profile
+    indices whose profiles differ in at least two DMs' maps.  DM k's map
+    rank is digit k of the profile index in the mixed radix
+    (|U_1|^|Y_1|, ..., |U_N|^|Y_N|), DM 1 most significant, which is the
+    order of ``solvers._profile_maps``."""
+    radices = [len(u) ** len(y) for y, u in zip(problem.y_spaces, problem.u_spaces)]
+    ranks = np.stack(np.unravel_index(np.arange(count), radices), axis=1)
+    for a in range(count):
+        across = np.flatnonzero((ranks[a + 1:] != ranks[a]).sum(axis=1) >= 2)
+        for b in (a + 1 + across).tolist():
+            yield a, b
+
+
 def find_nonconvexity_witness(
     problem: TeamProblem, cap: int = ENUM_CAP, lam: float = 0.5
 ) -> Optional[NonconvexityWitness]:
     """First pair (in lexicographic pair order) of deterministic-profile
     measures whose lam-mixture fails randomized membership; None when
-    every pair mixes inside the class."""
+    every pair mixes inside the class.
+
+    Only pairs whose profiles differ in at least two DMs' maps are mixed
+    and checked.  When two profiles differ in one DM's map only, the
+    induced joint is linear in that DM's policy, so their mixture is the
+    measure induced when that DM alone randomizes privately between its
+    two maps: it lies in the class and is never a witness.  Skipping
+    those pairs leaves the first reported pair unchanged."""
     measures = enumerate_LA(problem, cap=cap)
-    for a in range(len(measures)):
-        for b in range(a + 1, len(measures)):
-            mid = mix([measures[a], measures[b]], [lam, 1.0 - lam])
-            verdict = check_membership_LR(mid)
-            if not verdict.member:
-                return NonconvexityWitness(a, b, lam, mid, verdict)
-    return None
+    count = len(measures)
+    walked, tested, witness = count * (count - 1) // 2, 0, None
+    for a, b in _pairs_across_dms(problem, count):
+        tested += 1
+        mid = mix([measures[a], measures[b]], [lam, 1.0 - lam])
+        verdict = check_membership_LR(mid)
+        if not verdict.member:
+            witness = NonconvexityWitness(a, b, lam, mid, verdict)
+            # rows 0..a-1 hold a(2P - a - 1)/2 pairs; (a, b) is b - a into row a
+            walked = a * (2 * count - a - 1) // 2 + (b - a)
+            break
+    _log.debug(
+        "witness search: %d profiles, %d pairs tested, %d pairs skipped",
+        count, tested, walked - tested,
+    )
+    return witness
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from teamdec import strategic
 from teamdec.cli import main
 from teamdec.model import (
     CostTable,
@@ -421,20 +422,49 @@ def test_strategic_check_induced_and_mixed_measures(tmp_path, capsys):
     assert code == 2  # --measure is required
 
 
-def test_strategic_witness_on_signaling_chain(tmp_path, capsys):
+def test_strategic_witness_on_signaling_chain(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = strategic.check_membership_LR
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(strategic, "check_membership_LR", counted)
     path = write_team(tmp_path, "chain.json", signaling_chain_team())
     code, report = run_cli(capsys, "strategic", "witness", path)
     assert code == 0
     assert report["found"] is True
     assert report["lam"] == 0.5
     assert report["midpoint_failures"]
+    assert calls
 
-    # a team whose every mixture stays realizable yields no witness
+    # a team whose every mixture stays realizable yields no witness; two
+    # maps of one DM always mix by private randomization, so no pair is
+    # even checked
+    calls.clear()
     solo = random_team(7, y_sizes=(2,), u_sizes=(2,))
     solo_path = write_team(tmp_path, "solo.json", solo)
-    code, report = run_cli(capsys, "strategic", "witness", solo_path)
+    code = main(["strategic", "witness", solo_path])
+    out, err = capsys.readouterr()
     assert code == 0
-    assert report["found"] is False
+    assert json.loads(out)["found"] is False
+    assert calls == []
+    assert err == ""  # the search's DEBUG line has no handler by default
+
+
+def test_strategic_witness_refuses_joints_over_the_table_cap(tmp_path, capsys, monkeypatch):
+    problem = random_team(2)
+    path = write_team(tmp_path, "team.json", problem)
+    cells = problem.n_deterministic_profiles() * int(np.prod(problem.joint_shape()))
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells - 1)
+    code, report = run_cli(capsys, "strategic", "witness", path)
+    assert code == 1  # a cap is an analysis error, like --cap
+    assert report["error"]["type"] == "CapExceeded"
+    assert str(cells) in report["error"]["message"]
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells)
+    code, report = run_cli(capsys, "strategic", "witness", path)
+    assert code == 0 and report["found"] is True
 
 
 # --------------------------------------------------------------------------

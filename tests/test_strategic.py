@@ -1,9 +1,17 @@
 """Joint-measure class tests: induction, membership checks, mixtures,
 enumeration, realization of mixtures, and nonconvexity witnesses."""
 
+import itertools
+import logging
+import logging.handlers
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from teamdec import strategic
+from teamdec.constants import EQ_TOL
 from teamdec.errors import (
     CapExceeded,
     NonMember,
@@ -41,6 +49,7 @@ from teamdec.strategic import (
 
 from conftest import (
     classical_team,
+    enumerate_profiles_literal,
     random_profile,
     random_randomized_profile,
     random_team,
@@ -88,6 +97,113 @@ def binary_signaling_team():
         [k1, MeasurementKernel(2, t2)],
         CostTable(cost),
     )
+
+
+def sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega=2):
+    """A random team whose prior and kernel rows may hold zero entries
+    (each row keeps its largest entry), so some histories and
+    measurements carry no mass.  Dynamic kernels vary with every earlier
+    action; static ones repeat one row per exogenous point."""
+    rng = np.random.default_rng(seed)
+
+    def rows(shape):
+        t = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        if zeros:
+            keep = rng.uniform(size=t.shape) > 0.4
+            t = t * (keep | (t == t.max(axis=-1, keepdims=True)))
+            t = t / t.sum(axis=-1, keepdims=True)
+        return t
+
+    omega = FiniteSpace("w", list(range(n_omega)))
+    kernels = []
+    for k, ny in enumerate(y_sizes):
+        hist = (n_omega,) + tuple(u_sizes[:k])
+        if dynamic:
+            table = rows(hist + (ny,))
+        else:
+            row = rows((n_omega, ny)).reshape((n_omega,) + (1,) * k + (ny,))
+            table = np.broadcast_to(row, hist + (ny,)).copy()
+        kernels.append(MeasurementKernel(k + 1, table))
+    return TeamProblem(
+        omega,
+        Pmf(omega, rows((n_omega,))),
+        [FiniteSpace(f"y{k + 1}", list(range(n))) for k, n in enumerate(y_sizes)],
+        [FiniteSpace(f"u{k + 1}", [float(v) for v in range(n)])
+         for k, n in enumerate(u_sizes)],
+        kernels,
+        CostTable(rng.uniform(0.0, 1.0, size=(n_omega,) + tuple(u_sizes))),
+    )
+
+
+# 1-3 DMs as (|Y_k|, |U_k|), at most 32 deterministic profiles
+small_dms = st.lists(
+    st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda dms: np.prod([u ** y for y, u in dms]) <= 32)
+
+
+def literal_joint(problem, profile):
+    """The joint a deterministic profile induces, summed one realization
+    (omega, y1, ..., yN) at a time."""
+    n = problem.n_dms
+    joint = np.zeros(problem.joint_shape())
+    for w in range(len(problem.omega0)):
+        for ys in itertools.product(*(range(len(y)) for y in problem.y_spaces)):
+            us = [int(profile.actions[k][ys[k]]) for k in range(n)]
+            p = problem.prior.mass[w]
+            for k in range(n):
+                p *= problem.kernels[k].table[(w, *us[:k], ys[k])]
+            joint[(w, *(v for yu in zip(ys, us) for v in yu))] += p
+    return joint
+
+
+def literal_in_LR(problem, joint, tol=EQ_TOL):
+    """Membership in the individually-randomized class read off the
+    definition, one history at a time: the exogenous marginal is the
+    prior and, for every DM k and every history h = (omega, y1, u1, ...,
+    y_{k-1}, u_{k-1}) of positive mass, (a) P(y_k | h) is the kernel row
+    at (omega, u1, ..., u_{k-1}) and (b) P(u_k | h, y_k) = P(u_k | y_k)
+    wherever P(h, y_k) > 0."""
+    n = problem.n_dms
+    exo = joint.sum(axis=tuple(range(1, 2 * n + 1)))
+    if np.abs(exo - problem.prior.mass).max() > tol:
+        return False
+    for k in range(1, n + 1):
+        marg = joint.sum(axis=tuple(range(2 * k + 1, 2 * n + 1)))
+        own = marg.sum(axis=tuple(range(2 * k - 1)))  # (y_k, u_k)
+        kernel = problem.kernels[k - 1].table
+        for h in itertools.product(*(range(s) for s in marg.shape[:-2])):
+            p_h = marg[h].sum()
+            if p_h <= 0:
+                continue
+            for y in range(marg.shape[-2]):
+                p_hy = marg[h][y].sum()
+                if abs(p_hy / p_h - kernel[(h[0], *h[2::2], y)]) > tol:
+                    return False
+                if p_hy <= 0:
+                    continue
+                for u in range(marg.shape[-1]):
+                    if abs(marg[h][y, u] / p_hy - own[y, u] / own[y].sum()) > tol:
+                        return False
+    return True
+
+
+def literal_first_witness(problem, lam):
+    """Mix and check every pair of profiles in lexicographic order.
+    Returns the first pair whose lam-mixture leaves the class (None if
+    there is none), the pairs walked up to and including it, and how
+    many of those differ in two or more DMs' maps."""
+    profiles = list(enumerate_profiles_literal(problem))
+    joints = [literal_joint(problem, p) for p in profiles]
+    walked = across = 0
+    for a, b in itertools.combinations(range(len(joints)), 2):
+        walked += 1
+        across += sum(
+            not np.array_equal(x, y)
+            for x, y in zip(profiles[a].actions, profiles[b].actions)
+        ) >= 2
+        if not literal_in_LR(problem, lam * joints[a] + (1 - lam) * joints[b]):
+            return (a, b), walked, across
+    return None, walked, across
 
 
 # ---------------------------------------------------------------- induction
@@ -255,6 +371,20 @@ def test_enumerate_LA_respects_cap():
         enumerate_LA(team, cap=10)
 
 
+def test_enumerate_LA_refuses_oversized_joints_before_inducing(monkeypatch):
+    team = random_team(8, n_omega=2, y_sizes=(2, 3), u_sizes=(3, 2))
+    cells = team.n_deterministic_profiles() * int(np.prod(team.joint_shape()))
+    induced = []
+    monkeypatch.setattr(strategic, "induce_LA", lambda *args: induced.append(args))
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells - 1)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_LA(team)
+    assert (err.value.count, err.value.cap) == (cells, cells - 1)
+    assert induced == []
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells)
+    assert len(enumerate_LA(team)) == len(induced) == team.n_deterministic_profiles()
+
+
 def test_deterministic_class_attains_the_randomized_optimum():
     for seed in range(6):
         team = random_team(seed, dynamic=bool(seed % 2))
@@ -389,6 +519,73 @@ def test_signaling_team_mixture_of_optima_leaves_the_class():
         f.dm == 2 and f.condition == "policy" for f in verdict.failures
     )
     assert find_nonconvexity_witness(team) is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    dms=small_dms,
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    lam=st.sampled_from([0.5, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every pair (0, b) mixes inside the class here; the first witness is (4, 10)
+@example(dms=[(1, 3), (2, 2)], n_omega=1, dynamic=True, zeros=True, lam=0.5, seed=8)
+def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, lam, seed):
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    logger = logging.getLogger("teamdec.strategic")
+    records = logging.handlers.BufferingHandler(capacity=100)
+    level = logger.level
+    logger.addHandler(records)
+    logger.setLevel(logging.DEBUG)
+    try:
+        wit = find_nonconvexity_witness(team, lam=lam)
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(level)
+    pair, walked, across = literal_first_witness(team, lam)
+    assert (None if wit is None else (wit.index_a, wit.index_b)) == pair
+    # only the pairs that differ in two or more DMs' maps are checked
+    assert [r.getMessage() for r in records.buffer] == [
+        f"witness search: {team.n_deterministic_profiles()} profiles, "
+        f"{across} pairs tested, {walked - across} pairs skipped"
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    dms=small_dms,
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    lam=st.floats(1e-100, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixtures_that_vary_one_dm_stay_in_the_class(dms, n_omega, dynamic, zeros, lam, seed):
+    """The pruning premise of the witness search: two profiles that
+    differ in one DM's map only mix inside the randomized class.  lam
+    stays far above the subnormal range: a weight like 5e-324 rounds
+    the mixed masses to a few units in the last place, and the stored
+    array is then no longer the mixture."""
+    y_sizes, u_sizes = zip(*dms)
+    movable = [k for k, u in enumerate(u_sizes) if u > 1]
+    assume(movable)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    rng = np.random.default_rng(seed)
+    k = movable[rng.integers(len(movable))]
+    prof = random_profile(team, seed)
+    maps = list(prof.actions)
+    moved = maps[k].copy()
+    y = rng.integers(y_sizes[k])
+    moved[y] = (moved[y] + rng.integers(1, u_sizes[k])) % u_sizes[k]
+    maps[k] = moved
+    mid = mix(
+        [induce_LA(team, prof), induce_LA(team, DeterministicProfile(maps))],
+        [lam, 1.0 - lam],
+    )
+    assert check_membership_LR(mid, tol=EQ_TOL).member
 
 
 # ------------------------------------- conditional-independence relaxation
