@@ -48,10 +48,10 @@ from .probio import (
 from .quadrature import QuadratureSpec, snap_profile
 from .reduction import static_reduce, verify_equivalence
 from .solvers import (
-    _profile_values,
     brute_force,
     mixture_lp,
     pbp_iterate,
+    profile_values,
     seeded_profiles,
 )
 from .strategic import (
@@ -296,18 +296,11 @@ def cmd_strategic(args) -> dict:
     pf = _load(args.problem)
     problem = pf.problem
     if args.action == "enumerate":
-        total = problem.n_deterministic_profiles()
-        if total > args.cap:
-            raise CapExceeded(total, args.cap)
         res = brute_force(problem, cap=args.cap)
-        values = [
-            v
-            for _, vals in _profile_values(problem, min(args.limit, total))
-            for v in vals.tolist()
-        ]
+        values = profile_values(problem, min(args.limit, res.n_profiles)).tolist()
         return {
             "input_digest": pf.digest,
-            "n_profiles": total,
+            "n_profiles": res.n_profiles,
             "min_value": res.value,
             "argmin_index": res.index,
             "first_values": values,
@@ -565,6 +558,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = _base_report(args)
     try:
+        for name in ("cap", "limit"):
+            value = getattr(args, name, 0)
+            if value < 0:
+                raise ValidationError(f"--{name} must be >= 0, got {value}")
         report.update(args.fn(args))
     except tuple(t for t, _, _ in _ERRORS) as e:
         report["error"], code = _error_report(e)

@@ -17,6 +17,10 @@ REDUCTION_TOL = 1e-10
 # Agreement between the mixture linear program and brute-force enumeration.
 LP_TOL = 1e-9
 
+# Two profile costs within this much (relative to max(1, |optimum|)) tie;
+# exhaustive scans report the first tying profile in lexicographic order.
+TIE_TOL = 1e-12
+
 # Midpoint convexity slack on grids, and the margin rate for the separate
 # strictness report (margin >= STRICT_RATE * squared distance).
 MIDPOINT_TOL = 1e-9
@@ -43,6 +47,7 @@ def tolerances() -> dict:
         "eq_tol": EQ_TOL,
         "reduction_tol": REDUCTION_TOL,
         "lp_tol": LP_TOL,
+        "tie_tol": TIE_TOL,
         "midpoint_tol": MIDPOINT_TOL,
         "strict_rate": STRICT_RATE,
         "fd_step": FD_STEP,

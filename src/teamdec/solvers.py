@@ -9,6 +9,7 @@ first-order (directional-derivative) test at a candidate optimum.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,6 +20,7 @@ from .constants import (
     FD_STEP,
     KRAINAK_TOL,
     STATIONARITY_TOL,
+    TIE_TOL,
 )
 from .errors import CapExceeded
 from .model import (
@@ -29,16 +31,18 @@ from .model import (
     _policy_matrices,
     _value_to_go,
     expected_cost,
-    expected_cost_batch,
 )
 
 _CHUNK = 2048
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an exhaustive scan: optimal value, the first profile
-    attaining it in lexicographic order, and its enumeration index."""
+    """Outcome of an exhaustive scan: the value of the chosen profile,
+    the first profile in lexicographic order whose value is within
+    ``TIE_TOL * max(1, |V*|)`` of the optimum V*, its enumeration index,
+    and how many profiles the scan covered."""
 
     value: float
     profile: DeterministicProfile
@@ -46,35 +50,77 @@ class SolveResult:
     n_profiles: int
 
 
-def _profile_maps(problem: TeamProblem, count: int):
-    """The action maps of the first ``count`` deterministic profiles, in
-    lexicographic order: DM 1's map most significant and, within a map,
-    the action for measurement index 0 most significant.  Yields them
-    ``_CHUNK`` profiles at a time, per DM an int array of shape
-    (B, |Y_k|).  This is the one walk over policy maps in the package."""
-    radices, splits = [], []
-    for y, u in zip(problem.y_spaces, problem.u_spaces):
+def _profile_maps(y_spaces: Sequence, u_spaces: Sequence, count: int, start: int = 0):
+    """The action maps of deterministic profiles ``start``..``count - 1``
+    over the DMs whose spaces are given, in lexicographic order: the
+    first DM's map most significant and, within a map, the action for
+    measurement index 0 most significant.  Passing the spaces of DMs
+    1..k walks the prefixes of length k.  Yields them ``_CHUNK`` profiles
+    at a time, per DM an int array of shape (B, |Y_k|).  This is the one
+    walk over policy maps in the package."""
+    radices, bounds = [], [0]
+    for y, u in zip(y_spaces, u_spaces):
         radices += [len(u)] * len(y)
-        splits.append(len(radices))
-    for start in range(0, count, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, count))
+        bounds.append(len(radices))
+    for first in range(start, count, _CHUNK):
+        rest = np.arange(first, min(first + _CHUNK, count))
         digits = np.empty((rest.size, len(radices)), dtype=int)
         for c in range(len(radices) - 1, -1, -1):
             rest, digits[:, c] = np.divmod(rest, radices[c])
-        yield np.split(digits, splits[:-1], axis=1)
+        yield [digits[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _profile_values(problem: TeamProblem, count: int):
-    """Expected costs of the first ``count`` profiles, one batched chain
-    contraction per chunk of ``_profile_maps``: yields (maps, values)."""
-    eyes = [np.eye(len(u)) for u in problem.u_spaces]
-    for maps in _profile_maps(problem, count):
-        yield maps, expected_cost_batch(problem, [e[m] for e, m in zip(eyes, maps)])
+def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
+    """The last DM's cost table for prefixes ``start``..``count - 1``,
+    where a prefix fixes the maps of DMs 1..N-1 (a 1-DM team has one,
+    empty, prefix).  Entry [b, y, u] is the expected cost restricted to
+    DM N observing y and playing u, under prefix b: the batched forward
+    law of (omega0, u1, ..., u_{N-1}) times DM N's kernel and the cost,
+    one matmul per chunk.  Row minima give DM N's best map in closed
+    form, so memory scales with the prefix law (plus one fixed weight
+    table over the history, y_N and u_N), not with the profiles.
+    Yields (prefix maps, table of shape (B, |Y_N|, |U_N|))."""
+    kernels = [k.table for k in problem.kernels]
+    ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
+    # (omega0, u1..u_{N-1}) x (y_N, u_N): kernel times cost, per history
+    weights = (
+        kernels[-1].reshape(-1, ny, 1) * problem.cost.table.reshape(-1, 1, nu)
+    ).reshape(-1, ny * nu)
+    eyes = [np.eye(len(u)) for u in problem.u_spaces[:-1]]
+    spaces = problem.y_spaces[:-1], problem.u_spaces[:-1]
+    for maps in _profile_maps(*spaces, count, start):
+        law = _forward_law(
+            problem.prior.mass, kernels[:-1], [e[m] for e, m in zip(eyes, maps)]
+        )
+        table = law.reshape(-1, weights.shape[0]) @ weights
+        yield maps, table.reshape(-1, ny, nu)
+
+
+def _last_maps(problem: TeamProblem) -> int:
+    return len(problem.u_spaces[-1]) ** len(problem.y_spaces[-1])
+
+
+def profile_values(problem: TeamProblem, count: int) -> np.ndarray:
+    """Expected costs of the first ``count`` profiles in lexicographic
+    order, gathered from the prefix tables: a profile's cost is the sum
+    over DM N's measurements of its prefix table at the action its last
+    map picks."""
+    n_maps = _last_maps(problem)
+    ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
+    digits = np.stack(
+        np.unravel_index(np.arange(min(count, n_maps)), (nu,) * ny), axis=1
+    )
+    values = [
+        table[:, np.arange(ny), digits].sum(axis=2).reshape(-1)
+        for _, table in _prefix_tables(problem, -(-count // n_maps))
+    ]
+    return np.concatenate(values)[:count] if values else np.empty(0)
 
 
 def iter_profiles(problem: TeamProblem):
     """Yield every deterministic profile in lexicographic order."""
-    for maps in _profile_maps(problem, problem.n_deterministic_profiles()):
+    spaces = problem.y_spaces, problem.u_spaces
+    for maps in _profile_maps(*spaces, problem.n_deterministic_profiles()):
         for row in zip(*maps):
             yield DeterministicProfile(row)
 
@@ -91,23 +137,51 @@ def seeded_profiles(problem: TeamProblem, seed: int, count: int) -> list:
 
 
 def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
-    """Scan all deterministic profiles; return the first minimizer.
+    """Exhaustive search over deterministic profiles, DM N in closed form.
 
-    Profiles are evaluated in lexicographic batches so ties resolve to
-    the lowest enumeration index deterministically.
+    Only the prefixes (maps of DMs 1..N-1) are enumerated.  The cost is
+    linear in DM N's policy and DM N acts on nothing later, so for each
+    prefix its best map picks a row minimum of the prefix table per
+    measurement, and the prefix's value is the sum of those minima.
+
+    Tie rule: the result is the first profile in lexicographic order
+    whose value is within ``TIE_TOL * max(1, |V*|)`` of the optimum V*.
+    That is the first prefix whose value is within the slack, then, one
+    measurement at a time in index order, the lowest action whose excess
+    over its row minimum fits the slack still left.  The index is
+    prefix * |U_N|^|Y_N| plus the map's digits.  ``cap`` bounds the
+    number of profiles, not prefixes.
     """
     total = problem.n_deterministic_profiles()
     if total > cap:
         raise CapExceeded(total, cap)
-    best_val, best_idx, best_row = np.inf, -1, None
-    scanned = 0
-    for maps, vals in _profile_values(problem, total):
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val, best_idx = float(vals[j]), scanned + j
-            best_row = [m[j] for m in maps]
-        scanned += len(vals)
-    return SolveResult(best_val, DeterministicProfile(best_row), best_idx, total)
+    n_maps = _last_maps(problem)
+    values, cells = [], 0
+    for _, table in _prefix_tables(problem, total // n_maps):
+        values.append(table.min(axis=2).sum(axis=1))
+        cells = max(cells, table.size)
+    _log.debug(
+        "brute force: %d prefixes scanned, %d chunks, %d profiles covered, "
+        "largest prefix table %d cells",
+        total // n_maps, len(values), total, cells,
+    )
+    values = np.concatenate(values)
+    optimum = values.min()
+    bound = optimum + TIE_TOL * max(1.0, abs(float(optimum)))
+    prefix = int(np.argmax(values <= bound))
+    (maps, table), = _prefix_tables(problem, prefix + 1, prefix)
+    table = table[0]
+    excess = table - table.min(axis=1, keepdims=True)
+    slack = bound - values[prefix]
+    last = np.empty(table.shape[0], dtype=int)
+    for y, row in enumerate(excess):
+        last[y] = np.argmax(row <= slack)
+        slack -= row[last[y]]
+    digits = np.ravel_multi_index(last, (table.shape[1],) * len(last))
+    index = prefix * n_maps + int(digits)
+    value = float(table[np.arange(len(last)), last].sum())
+    profile = DeterministicProfile([m[0] for m in maps] + [last])
+    return SolveResult(value, profile, index, total)
 
 
 def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
@@ -227,7 +301,8 @@ class MixtureResult:
 
     The relaxation is linear in the mixing weights, so its optimum sits
     at a vertex; ``support`` holds (profile index, weight) pairs and is
-    a single point mass on the first minimizing vertex.
+    a single point mass on the vertex ``brute_force`` reports, the first
+    within ``TIE_TOL`` of the optimum.
     """
 
     value: float

@@ -143,30 +143,29 @@ def random_randomized_profile(problem, seed):
     return RandomizedProfile(kernels)
 
 
-def naive_expected_cost(problem, profile):
+def naive_expected_cost(problem, profile, num=float):
     """Literal summation over every joint realization (independent of
-    the library's einsum evaluator)."""
+    the library's chain evaluator).  Every mass and cost passes through
+    ``num`` first, so a ``num`` that returns a ``Fraction`` sums exactly."""
     n = problem.n_dms
-    total = 0.0
+    total = num(0)
     y_sizes = [len(s) for s in problem.y_spaces]
-    u_sizes = [len(s) for s in problem.u_spaces]
 
-    def rec(w, k, ys, us, p):
+    def rec(w, k, us, p):
         nonlocal total
         if k == n:
-            total += p * problem.cost.table[(w,) + tuple(us)]
+            total += p * num(problem.cost.table[(w,) + tuple(us)])
             return
         for y in range(y_sizes[k]):
             py = problem.kernels[k].table[(w,) + tuple(us) + (y,)]
             if py == 0.0:
                 continue
-            u = profile.actions[k][y]
-            rec(w, k + 1, ys + [y], us + [u], p * py)
+            rec(w, k + 1, us + [profile.actions[k][y]], p * num(py))
 
     for w in range(len(problem.omega0)):
         pw = problem.prior.mass[w]
         if pw > 0:
-            rec(w, 0, [], [], pw)
+            rec(w, 0, [], num(pw))
     return total
 
 

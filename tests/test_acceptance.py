@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from teamdec.constants import LP_TOL
 from teamdec.convexity import VerdictKind, policy_midpoint_test
 from teamdec.gallery import (
     decoupled_example,
@@ -42,6 +43,8 @@ from teamdec.strategic import (
 
 from conftest import (
     classical_team,
+    enumerate_profiles_literal,
+    naive_expected_cost,
     random_profile,
     random_randomized_profile,
     random_team,
@@ -79,8 +82,15 @@ def test_a1_deterministic_policies_attain_the_optimum(capsys):
                 randomized = random_randomized_profile(problem, 1000 * seed + rep)
                 assert best.value <= expected_cost(problem, randomized) + 1e-12
                 checked += 1
+            # the LP's vertex against a literal scan that shares no code
+            # with the profile scan both solvers run on
+            literal = [
+                naive_expected_cost(problem, p)
+                for p in enumerate_profiles_literal(problem)
+            ]
             lp = mixture_lp(problem)
-            assert lp.value == pytest.approx(best.value, abs=1e-9)
+            assert lp.value == pytest.approx(min(literal), abs=LP_TOL)
+            assert lp.support == ((int(np.argmin(literal)), 1.0),)
         assert checked == 10_000
         return "brute force below 10^4 randomized profiles on 100 teams; LP ties"
 

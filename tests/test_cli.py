@@ -199,8 +199,12 @@ def test_classify_static_and_relay(tmp_path, capsys):
 
 def test_solve_brute_and_mixture_lp_agree(tmp_path, capsys):
     path = write_team(tmp_path, "team.json", random_team(2))
-    code, brute = run_cli(capsys, "solve", path, "--method", "brute")
+    code = main(["solve", path, "--method", "brute"])
+    out, err = capsys.readouterr()
     assert code == 0
+    assert err == ""  # the scan's DEBUG line has no handler by default
+    brute = json.loads(out)
+    assert brute["tolerances"]["tie_tol"] == 1e-12
     code, lp = run_cli(capsys, "solve", path, "--method", "mixture-lp")
     assert code == 0
     assert lp["value"] == pytest.approx(brute["value"], abs=1e-9)
@@ -253,6 +257,24 @@ def test_solve_cap_exceeded_exits_1(tmp_path, capsys):
     code, report = run_cli(capsys, "solve", path, "--method", "brute", "--cap", "3")
     assert code == 1
     assert report["error"]["type"] == "CapExceeded"
+
+
+def test_negative_cap_or_limit_is_a_validation_error(tmp_path, capsys):
+    path = write_team(tmp_path, "team.json", random_team(2))
+    for argv in (
+        ["solve", path, "--method", "brute", "--cap", "-5"],
+        ["solve", path, "--method", "mixture-lp", "--cap", "-1"],
+        ["reduce", path, "--cap", "-1"],
+        ["strategic", "enumerate", path, "--limit", "-1"],
+        ["strategic", "enumerate", path, "--cap", "-1"],
+        ["strategic", "witness", path, "--cap", "-1"],
+    ):
+        code, report = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert report["error"]["type"] == "ValidationError", argv
+        assert "must be >= 0" in report["error"]["message"], argv
+    code, report = run_cli(capsys, "strategic", "enumerate", path, "--limit", "0")
+    assert code == 0 and report["first_values"] == []
 
 
 def test_out_flag_writes_deterministic_bytes(tmp_path, capsys):
@@ -387,6 +409,15 @@ def test_strategic_enumerate_matches_solve(tmp_path, capsys):
 
     code, _ = run_cli(capsys, "strategic", "enumerate", path, "--cap", "5")
     assert code == 1
+
+    # a limit that ends inside a prefix, on a 3-DM dynamic team
+    team = random_team(1, y_sizes=(2, 1, 2), u_sizes=(2, 3, 2), dynamic=True)
+    path = write_team(tmp_path, "three.json", team)
+    code, report = run_cli(capsys, "strategic", "enumerate", path, "--limit", "7")
+    assert code == 0
+    want = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    assert report["first_values"] == pytest.approx(want[:7], abs=1e-12)
+    assert report["argmin_index"] == int(np.argmin(want))
 
 
 def test_strategic_check_induced_and_mixed_measures(tmp_path, capsys):

@@ -2,13 +2,25 @@
 response tables against per-map summation, cyclic best-response descent,
 the mixture relaxation, and the quadrature-team optimality checks."""
 
+import logging
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from teamdec.constants import LP_TOL, TIE_TOL
 from teamdec.errors import CapExceeded
 from teamdec.model import (
+    CostTable,
     DeterministicProfile,
+    FiniteSpace,
+    MeasurementKernel,
+    Pmf,
     RandomizedProfile,
+    TeamProblem,
     expected_cost,
 )
 from teamdec.quadrature import StaticLQTeam
@@ -21,6 +33,7 @@ from teamdec.solvers import (
     measurement_marginal,
     mixture_lp,
     pbp_iterate,
+    profile_values,
     response_table,
 )
 
@@ -71,6 +84,145 @@ def test_brute_force_cap():
     team = random_team(1)
     with pytest.raises(CapExceeded):
         brute_force(team, cap=3)
+
+
+def tie_team(seed, y_sizes, u_sizes, n_omega, dynamic):
+    """Costs in {0, 1, 2}, a uniform prior and kernel rows drawn from
+    small integer weights, so many profiles tie in exact arithmetic
+    while their float costs can differ in the last bits."""
+    rng = np.random.default_rng(seed)
+    omega = FiniteSpace("w", list(range(n_omega)))
+    kernels = []
+    for k, ny in enumerate(y_sizes):
+        hist = (n_omega,) + tuple(u_sizes[:k])
+        weights = rng.integers(0, 3, size=(hist if dynamic else (n_omega,)) + (ny,))
+        weights[..., 0] += weights.sum(axis=-1) == 0
+        rows = weights / weights.sum(axis=-1, keepdims=True)
+        if not dynamic:
+            rows = rows.reshape((n_omega,) + (1,) * k + (ny,))
+        kernels.append(MeasurementKernel(k + 1, np.broadcast_to(rows, hist + (ny,)).copy()))
+    return TeamProblem(
+        omega,
+        Pmf.uniform(omega),
+        [FiniteSpace(f"y{k + 1}", list(range(n))) for k, n in enumerate(y_sizes)],
+        [FiniteSpace(f"u{k + 1}", [float(v) for v in range(n)])
+         for k, n in enumerate(u_sizes)],
+        kernels,
+        CostTable(rng.integers(0, 3, size=(n_omega,) + tuple(u_sizes)).astype(float)),
+    )
+
+
+def rational(x):
+    """The small-denominator rational a tie_team mass or cost was
+    rounded from: masses are 1/|Omega| or a weight over a row sum of at
+    most 6, so a denominator of at most 64 recovers it exactly."""
+    return Fraction(float(x)).limit_denominator(64)
+
+
+# 1-3 DMs as (|Y_k|, |U_k|), at most 64 deterministic profiles
+tie_dms = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda dms: np.prod([u ** y for y, u in dms]) <= 64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    dms=tie_dms,
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# exact ties whose float costs differ in the last bit: a strict float
+# argmin reports index 1 and 26 here
+@example(dms=[(3, 2)], n_omega=2, dynamic=True, seed=130108119)
+@example(dms=[(2, 1), (3, 3), (1, 2)], n_omega=3, dynamic=False, seed=2247090955)
+def test_brute_force_returns_the_first_exact_minimizer(dms, n_omega, dynamic, seed):
+    y_sizes, u_sizes = zip(*dms)
+    team = tie_team(seed, y_sizes, u_sizes, n_omega, dynamic)
+    profiles = list(enumerate_profiles_literal(team))
+    exact = [naive_expected_cost(team, p, num=rational) for p in profiles]
+    want = exact.index(min(exact))
+    res = brute_force(team)
+    assert res.index == want
+    assert all(
+        np.array_equal(a, b) for a, b in zip(res.profile.actions, profiles[want].actions)
+    )
+    assert res.value == pytest.approx(float(exact[want]), abs=1e-12)
+
+
+def test_brute_force_tie_rule_spends_the_slack_in_measurement_order():
+    # DM 1 picks u1 blind; DM 2 sees a fair coin.  Prefix u1 = 0 is
+    # 0.2e-12 above the optimum 1 (prefix u1 = 1), inside TIE_TOL.  Its
+    # action 0 costs 0.5e-12 more than action 1 in each of DM 2's rows:
+    # the slack left (0.8e-12) pays for it in row 0 but not again in row 1.
+    omega = FiniteSpace("w", [0])
+    cost = np.array([[[1 + 1.2e-12, 1 + 0.2e-12], [1.0, 1.0]]])
+    team = TeamProblem(
+        omega,
+        Pmf.uniform(omega),
+        [FiniteSpace("y1", [0]), FiniteSpace("y2", [0, 1])],
+        [FiniteSpace("u1", [0.0, 1.0]), FiniteSpace("u2", [0.0, 1.0])],
+        [MeasurementKernel(1, np.ones((1, 1))), MeasurementKernel(2, np.full((1, 2, 2), 0.5))],
+        CostTable(cost),
+    )
+    vals = np.array(
+        [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    )
+    want = int(np.flatnonzero(vals <= vals.min() + TIE_TOL * max(1.0, abs(vals.min())))[0])
+    assert want == 1  # u1 = 0, map (0, 1); the strict float argmin is 4
+    res = brute_force(team)
+    assert res.index == want
+    assert [a.tolist() for a in res.profile.actions] == [[0], [0, 1]]
+    assert res.value == pytest.approx(vals[want], abs=1e-15)
+
+
+def test_brute_force_memory_scales_with_the_prefix_law():
+    # no information, 20 x 20 maps: a law over (omega, u1, u2) per
+    # profile would hold 400 * 200 * 20 * 20 cells, 256 MB
+    team = random_team(5, n_omega=200, y_sizes=(1, 1), u_sizes=(20, 20))
+    tracemalloc.start()
+    try:
+        res = brute_force(team)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_profiles == 400
+    assert peak < 16 * 2**20
+
+
+def test_brute_force_logs_its_scan(caplog):
+    # 4096 prefixes of DM 1 span two chunks; DM 2 has one action
+    team = random_team(6, n_omega=2, y_sizes=(12, 1), u_sizes=(2, 1), dynamic=True)
+    with caplog.at_level(logging.DEBUG, logger="teamdec.solvers"):
+        res = brute_force(team)
+    assert [r.getMessage() for r in caplog.records] == [
+        "brute force: 4096 prefixes scanned, 2 chunks, 4096 profiles covered, "
+        "largest prefix table 2048 cells"
+    ]
+    vals = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    assert res.index == int(np.argmin(vals))
+    assert res.value == pytest.approx(min(vals), abs=1e-12)
+
+    caplog.clear()
+    team = random_team(7, y_sizes=(2, 3), u_sizes=(3, 2))
+    with caplog.at_level(logging.DEBUG, logger="teamdec.solvers"):
+        brute_force(team)
+    assert [r.getMessage() for r in caplog.records] == [
+        "brute force: 9 prefixes scanned, 1 chunks, 72 profiles covered, "
+        "largest prefix table 54 cells"
+    ]
+
+
+def test_profile_values_follow_the_lexicographic_order():
+    for team in (
+        random_team(8, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True),
+        random_team(9, y_sizes=(3,), u_sizes=(2,)),
+    ):
+        want = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+        for count in (0, 1, 3, 5, 7, len(want)):
+            got = profile_values(team, count)
+            assert got.shape == (count,)
+            assert got == pytest.approx(want[:count], abs=1e-12)
 
 
 def test_response_table_decomposes_the_cost():
@@ -189,14 +341,16 @@ def test_pbp_started_at_the_optimum_stays_there():
 def test_mixture_relaxation_sits_at_a_vertex():
     for seed in range(4):
         team = random_team(seed, dynamic=bool(seed % 2))
-        det = brute_force(team)
+        profiles = list(enumerate_profiles_literal(team))
+        vals = [naive_expected_cost(team, p) for p in profiles]
+        want = int(np.argmin(vals))
         mixed = mixture_lp(team)
-        assert mixed.value == pytest.approx(det.value, abs=0)
-        assert mixed.n_profiles == det.n_profiles
-        assert mixed.support == ((det.index, 1.0),)
+        assert mixed.value == pytest.approx(vals[want], abs=LP_TOL)
+        assert mixed.n_profiles == len(profiles)
+        assert mixed.support == ((want, 1.0),)
         assert all(
             np.array_equal(a, b)
-            for a, b in zip(mixed.profile.actions, det.profile.actions)
+            for a, b in zip(mixed.profile.actions, profiles[want].actions)
         )
         # no randomized profile does better than the vertex optimum
         for trial in range(10):
