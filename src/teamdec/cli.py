@@ -40,7 +40,6 @@ from .model import (
 )
 from .probio import (
     ProblemFile,
-    digest_bytes,
     load_measure,
     load_problem,
     problem_to_dict,
@@ -130,12 +129,10 @@ def _load(path: str) -> ProblemFile:
 
 
 def cmd_validate(args) -> dict:
-    with open(args.problem, "rb") as fh:
-        data = fh.read()
     pf = load_problem(args.problem)
     violations = validate(pf.problem)
     return {
-        "input_digest": digest_bytes(data),
+        "input_digest": pf.digest,
         "is_valid": not violations,
         "violations": [
             {"code": v.code, "where": v.where, "message": v.message}

@@ -15,11 +15,20 @@ A problem document has five sections:
 
 String forms of points must be unique within a space and must not
 contain the ``|`` separator.
+
+The codec moves whole tables: keys come from ``itertools.product`` over
+the label lists (the C order of ``table.reshape(-1)``), and the reader
+splits a section's keys at once and fills each table with one index
+assignment.  A malformed entry (a key with the wrong number of parts or
+an unknown label, a value ``float`` rejects, a section or kernel row
+that is not an object) raises ValidationError naming the first
+offending key in document order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -28,13 +37,7 @@ import numpy as np
 
 from .errors import MalformedAnnotation, ValidationError
 from .infostruct import SubsystemAnnotation
-from .model import (
-    CostTable,
-    FiniteSpace,
-    MeasurementKernel,
-    Pmf,
-    TeamProblem,
-)
+from .model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem
 from .strategic import StrategicMeasure
 
 SEP = "|"
@@ -70,7 +73,7 @@ def _label_map(space: FiniteSpace) -> dict:
 
 
 def _space_from_dict(d, default_name: str) -> FiniteSpace:
-    if not isinstance(d, dict) or "points" not in d:
+    if not isinstance(d, dict) or not isinstance(d.get("points"), list):
         raise ValidationError(
             f"space entry for {default_name!r} must be a dict with 'points'"
         )
@@ -79,19 +82,117 @@ def _space_from_dict(d, default_name: str) -> FiniteSpace:
     )
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return value
+
+
+def _parse(keys: list, values, maps: list):
+    """The label indices (axis, entry) and float values of entries whose
+    keys join one label per axis with SEP, and the first faulty entry as
+    (position, axis) or None: axis None for a key with the wrong number
+    of parts, else its first unknown label's axis, or "value" for a
+    value ``float`` rejects (a key's fault comes before its value's)."""
+    n = len(maps)
+    seps = list(map(str.count, keys, itertools.repeat(SEP)))
+    cut = len(keys)
+    if seps.count(n - 1) != cut:
+        cut = next(i for i, s in enumerate(seps) if s != n - 1)
+    parts = SEP.join(keys[:cut]).split(SEP) if cut else []
+    cols = [list(map(m.get, parts[a::n], itertools.repeat(-1))) for a, m in enumerate(maps)]
+    idx = np.array(cols, np.intp)
+    faults = []
+    if any(-1 in col for col in cols):
+        faults = np.argwhere(idx.T < 0)[:1].tolist()  # [key, axis], the first key's
+    elif cut < len(keys):
+        faults = [(cut, None)]
+    floats = []
+    try:
+        floats.extend(map(float, values))  # keeps the values read before a failure
+    except (TypeError, ValueError, OverflowError):
+        faults.append((len(floats), "value"))
+    return idx, floats, min(faults, key=lambda f: f[0]) if faults else None
+
+
+def _history_nouns(k: int) -> list:
+    """Nouns for the axes of an ``omega|u1|...|u_{k-1}`` key."""
+    return [("exogenous point", "")] + [("action", f" for DM {j}") for j in range(1, k)]
+
+
+def _fault(fault, keys: list, values, where: str, what: str, nouns: list, arity_what=""):
+    """The error for a faulty entry of a section: ``where`` names the
+    section for a bad value, ``what`` a key, and nouns[a] is (noun, tail)
+    for an unknown label on axis a.  Without ``arity_what`` (which words
+    a key with the wrong number of parts) a key is one label, named whole."""
+    pos, axis = fault
+    key = keys[pos]
+    if axis == "value":
+        message = f"{where} value {values[pos]!r} for {key!r} is not a number"
+    elif not arity_what:
+        message = f"{what} names unknown {nouns[0][0]} {key!r}"
+    elif axis is None:
+        message = f"{arity_what} {key!r} has {key.count(SEP) + 1} parts, expected {len(nouns)}"
+    else:
+        noun, tail = nouns[axis]
+        message = f"{what} {key!r} names unknown {noun} {key.split(SEP)[axis]!r}{tail}"
+    return ValidationError(message)
+
+
+def _table(section, maps: list, where: str, *words) -> np.ndarray:
+    """The table, one axis per label map, filled from a flat section;
+    ``where`` and ``words`` word its faults (see ``_fault``)."""
+    section = _object(section, f"{where} section")
+    keys, values = list(section), list(section.values())
+    idx, floats, fault = _parse(keys, values, maps)
+    if fault:
+        raise _fault(fault, keys, values, where, *words)
+    table = np.zeros([len(m) for m in maps])
+    table[tuple(idx)] = floats
+    return table
+
+
+def _kernel_table(section, k: int, maps: list, y_map: dict):
+    """DM k's kernel from history keys mapping to rows of measurement
+    label -> probability.  A key's fault comes before its row's, and a
+    row's before the next key's."""
+    section = _object(section, f"DM {k} kernel table")
+    keys, rows = list(section), list(section.values())
+    h_idx, _, h_fault = _parse(keys, (), maps)
+    stop = h_fault[0] if h_fault else len(rows)
+    good = next((i for i in range(stop) if not isinstance(rows[i], dict)), stop)
+    lengths = [len(r) for r in rows[:good]]
+    labels = list(itertools.chain.from_iterable(rows[:good]))
+    values = [p for r in rows[:good] for p in r.values()]
+    (y_idx,), floats, fault = _parse(labels, values, [y_map])
+    if fault:
+        row = int(np.searchsorted(np.cumsum(lengths), fault[0], "right"))
+        where = f"DM {k} kernel row {keys[row]!r}"
+        raise _fault(fault, labels, values, where, where, [("measurement", "")])
+    if good < stop:
+        raise ValidationError(f"DM {k} kernel row {keys[good]!r} must be a JSON object")
+    if h_fault:
+        what = f"DM {k} kernel history"
+        raise _fault(h_fault, keys, (), "", what, _history_nouns(k), f"{what} key")
+    table = np.zeros([len(m) for m in maps] + [len(y_map)])
+    table[tuple(np.repeat(h_idx, lengths, axis=1)) + (y_idx,)] = floats
+    return MeasurementKernel(k, table)
+
+
 def problem_from_dict(doc: dict) -> TeamProblem:
     if not isinstance(doc, dict):
         raise ValidationError("problem document must be a JSON object")
     for section in ("spaces", "prior", "kernels", "cost"):
         if section not in doc:
             raise ValidationError(f"problem document is missing {section!r}")
-    spaces = doc["spaces"]
+    spaces = _object(doc["spaces"], "spaces section")
     if "omega0" not in spaces:
         raise ValidationError("spaces section is missing 'omega0'")
     omega = _space_from_dict(spaces["omega0"], "omega0")
     meas = spaces.get("measurements", [])
     acts = spaces.get("actions", [])
-    if len(meas) != len(acts) or not meas:
+    lists = isinstance(meas, list) and isinstance(acts, list)
+    if not lists or len(meas) != len(acts) or not meas:
         raise ValidationError(
             "spaces section needs equal-length, nonempty 'measurements' "
             "and 'actions' lists"
@@ -99,90 +200,24 @@ def problem_from_dict(doc: dict) -> TeamProblem:
     y_spaces = [_space_from_dict(d, f"y{k + 1}") for k, d in enumerate(meas)]
     u_spaces = [_space_from_dict(d, f"u{k + 1}") for k, d in enumerate(acts)]
     n = len(y_spaces)
+    omega_map = _label_map(omega)
+    y_maps = [_label_map(s) for s in y_spaces]
+    maps = [omega_map] + [_label_map(s) for s in u_spaces]
 
-    omega_idx = _label_map(omega)
-    y_idx = [_label_map(s) for s in y_spaces]
-    u_idx = [_label_map(s) for s in u_spaces]
-
-    mass = np.zeros(len(omega))
-    for key, v in doc["prior"].items():
-        if key not in omega_idx:
-            raise ValidationError(f"prior names unknown exogenous point {key!r}")
-        mass[omega_idx[key]] = float(v)
-    prior = Pmf(omega, mass)
-
+    prior = Pmf(omega, _table(doc["prior"], maps[:1], "prior", "prior", _history_nouns(1)))
+    if not isinstance(doc["kernels"], list):
+        raise ValidationError("kernels section must be a JSON list")
     if len(doc["kernels"]) != n:
-        raise ValidationError(
-            f"{len(doc['kernels'])} kernel tables for {n} DMs"
-        )
-    kernels = []
-    for k in range(1, n + 1):
-        shape = (
-            (len(omega),)
-            + tuple(len(u_spaces[j]) for j in range(k - 1))
-            + (len(y_spaces[k - 1]),)
-        )
-        table = np.zeros(shape)
-        for key, row in doc["kernels"][k - 1].items():
-            parts = key.split(SEP)
-            if len(parts) != k:
-                raise ValidationError(
-                    f"DM {k} kernel history key {key!r} has {len(parts)} "
-                    f"parts, expected {k}"
-                )
-            if parts[0] not in omega_idx:
-                raise ValidationError(
-                    f"DM {k} kernel history {key!r} names unknown exogenous "
-                    f"point {parts[0]!r}"
-                )
-            idx = [omega_idx[parts[0]]]
-            for j, part in enumerate(parts[1:]):
-                if part not in u_idx[j]:
-                    raise ValidationError(
-                        f"DM {k} kernel history {key!r} names unknown action "
-                        f"{part!r} for DM {j + 1}"
-                    )
-                idx.append(u_idx[j][part])
-            for y_label, p in row.items():
-                if y_label not in y_idx[k - 1]:
-                    raise ValidationError(
-                        f"DM {k} kernel row {key!r} names unknown measurement "
-                        f"{y_label!r}"
-                    )
-                table[tuple(idx) + (y_idx[k - 1][y_label],)] = float(p)
-        kernels.append(MeasurementKernel(k, table))
-
-    cost_shape = (len(omega),) + tuple(len(s) for s in u_spaces)
-    cost_table = np.zeros(cost_shape)
-    for key, v in doc["cost"].items():
-        parts = key.split(SEP)
-        if len(parts) != n + 1:
-            raise ValidationError(
-                f"cost key {key!r} has {len(parts)} parts, expected {n + 1}"
-            )
-        if parts[0] not in omega_idx:
-            raise ValidationError(
-                f"cost key {key!r} names unknown exogenous point {parts[0]!r}"
-            )
-        idx = [omega_idx[parts[0]]]
-        for j, part in enumerate(parts[1:]):
-            if part not in u_idx[j]:
-                raise ValidationError(
-                    f"cost key {key!r} names unknown action {part!r} for DM "
-                    f"{j + 1}"
-                )
-            idx.append(u_idx[j][part])
-        cost_table[tuple(idx)] = float(v)
-    cost = CostTable(cost_table)
-
+        raise ValidationError(f"{len(doc['kernels'])} kernel tables for {n} DMs")
+    kernels = [
+        _kernel_table(doc["kernels"][k - 1], k, maps[:k], y_maps[k - 1])
+        for k in range(1, n + 1)
+    ]
+    cost = CostTable(
+        _table(doc["cost"], maps, "cost", "cost key", _history_nouns(n + 1), "cost key")
+    )
     return TeamProblem(
-        omega,
-        prior,
-        y_spaces,
-        u_spaces,
-        kernels,
-        cost,
-        name=str(doc.get("name", "")),
+        omega, prior, y_spaces, u_spaces, kernels, cost, name=str(doc.get("name", ""))
     )
 
 
@@ -190,33 +225,54 @@ def annotation_from_dict(doc: dict) -> Optional[SubsystemAnnotation]:
     ann = doc.get("annotations")
     if not ann:
         return None
-    sub = ann.get("subsystems")
+    sub = _object(ann, "annotations section").get("subsystems")
     if not sub:
         return None
+
+    def ints(xs):
+        return tuple(int(x) for x in xs)
+
     try:
         return SubsystemAnnotation(
-            factor_sizes=tuple(int(x) for x in sub["factor_sizes"]),
-            dm_state_factors=tuple(
-                tuple(int(x) for x in group) for group in sub["dm_state_factors"]
-            ),
-            shared_factors=tuple(int(x) for x in sub.get("shared_factors", ())),
-            dm_noise_factors=tuple(
-                tuple(int(x) for x in group)
-                for group in sub.get("dm_noise_factors", ())
-            ),
+            factor_sizes=ints(sub["factor_sizes"]),
+            dm_state_factors=tuple(map(ints, sub["dm_state_factors"])),
+            shared_factors=ints(sub.get("shared_factors", ())),
+            dm_noise_factors=tuple(map(ints, sub.get("dm_noise_factors", ()))),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedAnnotation(f"bad subsystems annotation: {e}") from e
 
 
+def _keys(label_lists: list, keep=None):
+    """The keys of the cells of a table whose axes carry these labels, in
+    the C order of ``table.reshape(-1)``; with ``keep``, of its true cells."""
+    cells = itertools.product(*label_lists)
+    return map(SEP.join, cells if keep is None else itertools.compress(cells, keep))
+
+
+def _nonzero(label_lists: list, table: np.ndarray) -> dict:
+    """The nonzero cells of ``table`` as {key: float}, in C order."""
+    flat = table.reshape(-1)
+    keep = flat != 0.0
+    return dict(zip(_keys(label_lists, keep.tolist()), flat[keep].tolist()))
+
+
 def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
-    omega_labels = [str(p) for p in problem.omega0.points]
-    _label_map(problem.omega0)
-    for s in list(problem.y_spaces) + list(problem.u_spaces):
+    for s in [problem.omega0, *problem.y_spaces, *problem.u_spaces]:
         _label_map(s)
+    history = [[str(p) for p in s.points] for s in [problem.omega0, *problem.u_spaces]]
 
     def space_dict(s: FiniteSpace) -> dict:
         return {"name": s.name, "points": [_from_point(p) for p in s.points]}
+
+    def kernel_dict(k: int) -> dict:
+        table = problem.kernels[k - 1].table
+        y_labels = [str(p) for p in problem.y_spaces[k - 1].points]
+        rows = table.reshape(-1, table.shape[-1]).tolist()
+        return {
+            key: {y: p for y, p in zip(y_labels, row) if p != 0.0}
+            for key, row in zip(_keys(history[:k]), rows)
+        }
 
     doc = {
         "name": problem.name,
@@ -225,48 +281,10 @@ def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
             "measurements": [space_dict(s) for s in problem.y_spaces],
             "actions": [space_dict(s) for s in problem.u_spaces],
         },
-        "prior": {
-            omega_labels[i]: float(m)
-            for i, m in enumerate(problem.prior.mass)
-            if m != 0.0
-        },
+        "prior": _nonzero(history[:1], problem.prior.mass),
+        "kernels": [kernel_dict(k) for k in range(1, problem.n_dms + 1)],
+        "cost": _nonzero(history, problem.cost.table),
     }
-    kernels = []
-    for k in range(1, problem.n_dms + 1):
-        table = problem.kernels[k - 1].table
-        flat = table.reshape(-1, table.shape[-1])
-        hist_shape = table.shape[:-1]
-        entries = {}
-        for b in range(flat.shape[0]):
-            idx = np.unravel_index(b, hist_shape)
-            parts = [omega_labels[idx[0]]]
-            for j in range(1, len(idx)):
-                parts.append(str(problem.u_spaces[j - 1].points[idx[j]]))
-            row = {
-                str(problem.y_spaces[k - 1].points[y]): float(p)
-                for y, p in enumerate(flat[b])
-                if p != 0.0
-            }
-            entries[SEP.join(parts)] = row
-        kernels.append(entries)
-    doc["kernels"] = kernels
-
-    cost = problem.cost.table
-    flat = cost.reshape(cost.shape[0], -1)
-    u_shape = cost.shape[1:]
-    entries = {}
-    for w in range(flat.shape[0]):
-        for b in range(flat.shape[1]):
-            v = flat[w, b]
-            if v == 0.0:
-                continue
-            idx = np.unravel_index(b, u_shape)
-            parts = [omega_labels[w]] + [
-                str(problem.u_spaces[j].points[idx[j]]) for j in range(len(idx))
-            ]
-            entries[SEP.join(parts)] = float(v)
-    doc["cost"] = entries
-
     if annotation is not None:
         doc["annotations"] = {
             "subsystems": {
@@ -312,45 +330,25 @@ def save_problem(problem: TeamProblem, path: str, annotation=None) -> None:
 # -- strategic measures -----------------------------------------------------
 
 
-def measure_to_dict(measure: StrategicMeasure) -> dict:
-    problem = measure.problem
+def _joint_spaces(problem: TeamProblem) -> list:
     spaces = [problem.omega0]
     for k in range(problem.n_dms):
         spaces += [problem.y_spaces[k], problem.u_spaces[k]]
-    flat = measure.joint.reshape(-1)
-    shape = measure.joint.shape
-    entries = {}
-    for b in np.nonzero(flat)[0]:
-        idx = np.unravel_index(b, shape)
-        parts = [str(spaces[a].points[i]) for a, i in enumerate(idx)]
-        entries[SEP.join(parts)] = float(flat[b])
-    return {"joint": entries, "origin": measure.origin}
+    return spaces
+
+
+def measure_to_dict(measure: StrategicMeasure) -> dict:
+    labels = [[str(p) for p in s.points] for s in _joint_spaces(measure.problem)]
+    return {"joint": _nonzero(labels, measure.joint), "origin": measure.origin}
 
 
 def measure_from_dict(problem: TeamProblem, doc: dict) -> StrategicMeasure:
     if not isinstance(doc, dict) or "joint" not in doc:
         raise ValidationError("measure document must be a JSON object with 'joint'")
-    spaces = [problem.omega0]
-    for k in range(problem.n_dms):
-        spaces += [problem.y_spaces[k], problem.u_spaces[k]]
+    spaces = _joint_spaces(problem)
+    nouns = [("point", f" in {s.name!r}") for s in spaces]
     maps = [_label_map(s) for s in spaces]
-    joint = np.zeros(problem.joint_shape())
-    for key, v in doc["joint"].items():
-        parts = key.split(SEP)
-        if len(parts) != len(spaces):
-            raise ValidationError(
-                f"measure key {key!r} has {len(parts)} parts, expected "
-                f"{len(spaces)}"
-            )
-        idx = []
-        for a, part in enumerate(parts):
-            if part not in maps[a]:
-                raise ValidationError(
-                    f"measure key {key!r} names unknown point {part!r} in "
-                    f"{spaces[a].name!r}"
-                )
-            idx.append(maps[a][part])
-        joint[tuple(idx)] = float(v)
+    joint = _table(doc["joint"], maps, "measure", "measure key", nouns, "measure key")
     return StrategicMeasure(problem, joint, origin=doc.get("origin"))
 
 

@@ -20,6 +20,7 @@ from .constants import (
     FD_STEP,
     KRAINAK_TOL,
     STATIONARITY_TOL,
+    TABLE_CAP,
     TIE_TOL,
 )
 from .errors import CapExceeded
@@ -34,6 +35,9 @@ from .model import (
 )
 
 _CHUNK = 2048
+# cells of laws and one-hot maps one chunk of the prefix scan may hold:
+# 1/64 of the largest table a call may build, 2.5 MB of floats
+_SCAN_CELLS = TABLE_CAP // 64
 _log = logging.getLogger(__name__)
 
 
@@ -50,20 +54,22 @@ class SolveResult:
     n_profiles: int
 
 
-def _profile_maps(y_spaces: Sequence, u_spaces: Sequence, count: int, start: int = 0):
+def _profile_maps(
+    y_spaces: Sequence, u_spaces: Sequence, count: int, start: int = 0, chunk: int = _CHUNK
+):
     """The action maps of deterministic profiles ``start``..``count - 1``
     over the DMs whose spaces are given, in lexicographic order: the
     first DM's map most significant and, within a map, the action for
     measurement index 0 most significant.  Passing the spaces of DMs
-    1..k walks the prefixes of length k.  Yields them ``_CHUNK`` profiles
+    1..k walks the prefixes of length k.  Yields them ``chunk`` profiles
     at a time, per DM an int array of shape (B, |Y_k|).  This is the one
     walk over policy maps in the package."""
     radices, bounds = [], [0]
     for y, u in zip(y_spaces, u_spaces):
         radices += [len(u)] * len(y)
         bounds.append(len(radices))
-    for first in range(start, count, _CHUNK):
-        rest = np.arange(first, min(first + _CHUNK, count))
+    for first in range(start, count, chunk):
+        rest = np.arange(first, min(first + chunk, count))
         digits = np.empty((rest.size, len(radices)), dtype=int)
         for c in range(len(radices) - 1, -1, -1):
             rest, digits[:, c] = np.divmod(rest, radices[c])
@@ -78,7 +84,9 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
     law of (omega0, u1, ..., u_{N-1}) times DM N's kernel and the cost,
     one matmul per chunk.  Row minima give DM N's best map in closed
     form, so memory scales with the prefix law (plus one fixed weight
-    table over the history, y_N and u_N), not with the profiles.
+    table over the history, y_N and u_N), not with the profiles.  A
+    chunk holds at most ``_CHUNK`` prefixes and, unless one prefix
+    alone exceeds it, ``_SCAN_CELLS`` cells of laws and one-hot maps.
     Yields (prefix maps, table of shape (B, |Y_N|, |U_N|))."""
     kernels = [k.table for k in problem.kernels]
     ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
@@ -88,7 +96,9 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
     ).reshape(-1, ny * nu)
     eyes = [np.eye(len(u)) for u in problem.u_spaces[:-1]]
     spaces = problem.y_spaces[:-1], problem.u_spaces[:-1]
-    for maps in _profile_maps(*spaces, count, start):
+    cells = weights.shape[0] + sum(len(y) * len(u) for y, u in zip(*spaces))
+    chunk = max(1, min(_CHUNK, _SCAN_CELLS // cells))
+    for maps in _profile_maps(*spaces, count, start, chunk):
         law = _forward_law(
             problem.prior.mass, kernels[:-1], [e[m] for e, m in zip(eyes, maps)]
         )

@@ -37,7 +37,7 @@ from .model import (
     _full_joint,
     induced_joint,
 )
-from .solvers import iter_profiles
+from .solvers import _profile_maps, iter_profiles
 
 _log = logging.getLogger(__name__)
 
@@ -317,17 +317,25 @@ def check_membership_LM(measure: StrategicMeasure, tol: float = EQ_TOL) -> bool:
     return True
 
 
-def enumerate_LA(problem: TeamProblem, cap: int = ENUM_CAP) -> list:
-    """All deterministic-profile measures, in lexicographic profile order
-    (DM 1's map most significant; within a map, measurement index 0 most
-    significant).  Raises CapExceeded when the count would exceed ``cap``,
-    or when the joints together would hold more than TABLE_CAP cells."""
+def _profile_count(problem: TeamProblem, cap: int) -> int:
+    """The number of deterministic profiles, after checking that it is at
+    most ``cap`` and that their joints together hold at most TABLE_CAP
+    cells (CapExceeded otherwise)."""
     count = problem.n_deterministic_profiles()
     if count > cap:
         raise CapExceeded(count, cap)
     cells = count * int(np.prod(problem.joint_shape()))
     if cells > TABLE_CAP:
         raise CapExceeded(cells, TABLE_CAP)
+    return count
+
+
+def enumerate_LA(problem: TeamProblem, cap: int = ENUM_CAP) -> list:
+    """All deterministic-profile measures, in lexicographic profile order
+    (DM 1's map most significant; within a map, measurement index 0 most
+    significant).  Raises CapExceeded when the count would exceed ``cap``,
+    or when the joints together would hold more than TABLE_CAP cells."""
+    _profile_count(problem, cap)
     return [induce_LA(problem, prof) for prof in iter_profiles(problem)]
 
 
@@ -369,13 +377,24 @@ def find_nonconvexity_witness(
     induced joint is linear in that DM's policy, so their mixture is the
     measure induced when that DM alone randomizes privately between its
     two maps: it lies in the class and is never a witness.  Skipping
-    those pairs leaves the first reported pair unchanged."""
-    measures = enumerate_LA(problem, cap=cap)
-    count = len(measures)
+    those pairs leaves the first reported pair unchanged.  A profile's
+    measure is induced when a tested pair first needs it, so a search
+    that stops early induces only the profiles it has mixed; the caps
+    are checked for all of them before anything is induced."""
+    count = _profile_count(problem, cap)
+    spaces = problem.y_spaces, problem.u_spaces
+    measures = {}  # profile index -> its induced measure
+
+    def measure(i: int) -> StrategicMeasure:
+        if i not in measures:
+            (maps,) = _profile_maps(*spaces, i + 1, i)
+            measures[i] = induce_LA(problem, DeterministicProfile([m[0] for m in maps]))
+        return measures[i]
+
     walked, tested, witness = count * (count - 1) // 2, 0, None
     for a, b in _pairs_across_dms(problem, count):
         tested += 1
-        mid = mix([measures[a], measures[b]], [lam, 1.0 - lam])
+        mid = mix([measure(a), measure(b)], [lam, 1.0 - lam])
         verdict = check_membership_LR(mid)
         if not verdict.member:
             witness = NonconvexityWitness(a, b, lam, mid, verdict)
@@ -383,8 +402,9 @@ def find_nonconvexity_witness(
             walked = a * (2 * count - a - 1) // 2 + (b - a)
             break
     _log.debug(
-        "witness search: %d profiles, %d pairs tested, %d pairs skipped",
-        count, tested, walked - tested,
+        "witness search: %d profiles, %d pairs tested, %d pairs skipped, "
+        "%d joints induced",
+        count, tested, walked - tested, len(measures),
     )
     return witness
 

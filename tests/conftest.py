@@ -181,3 +181,51 @@ def enumerate_profiles_literal(problem):
     ]
     for maps in itertools.product(*per_dm):
         yield DeterministicProfile([np.array(m, dtype=int) for m in maps])
+
+
+def literal_problem_doc(problem):
+    """A problem document written one cell at a time from the format in
+    the README (it shares no code with ``teamdec.probio``): points with
+    tuples as lists, the nonzero prior masses, every kernel history with
+    its nonzero row entries, and the nonzero cost cells, each keyed by
+    its labels' string forms joined with ``|`` in index order."""
+
+    def point(p):
+        return [point(x) for x in p] if isinstance(p, tuple) else p
+
+    def space(s):
+        return {"name": s.name, "points": [point(p) for p in s.points]}
+
+    def key(idx):
+        spaces = [problem.omega0] + list(problem.u_spaces)
+        return "|".join(str(spaces[a].points[i]) for a, i in enumerate(idx))
+
+    prior = {}
+    for w, m in enumerate(problem.prior.mass):
+        if m != 0.0:
+            prior[key((w,))] = float(m)
+    kernels = []
+    for k, kernel in enumerate(problem.kernels):
+        rows = {}
+        for hist in np.ndindex(kernel.table.shape[:-1]):
+            rows[key(hist)] = {
+                str(problem.y_spaces[k].points[y]): float(p)
+                for y, p in enumerate(kernel.table[hist])
+                if p != 0.0
+            }
+        kernels.append(rows)
+    cost = {}
+    for idx in np.ndindex(problem.cost.table.shape):
+        if problem.cost.table[idx] != 0.0:
+            cost[key(idx)] = float(problem.cost.table[idx])
+    return {
+        "name": problem.name,
+        "spaces": {
+            "omega0": space(problem.omega0),
+            "measurements": [space(s) for s in problem.y_spaces],
+            "actions": [space(s) for s in problem.u_spaces],
+        },
+        "prior": prior,
+        "kernels": kernels,
+        "cost": cost,
+    }

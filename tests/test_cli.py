@@ -161,6 +161,26 @@ def test_missing_file_and_broken_json_exit_2(tmp_path, capsys):
     assert code == 2
     assert report["error"]["type"] == "ParseError"
 
+    # malformed values and sections name the section and the first bad key
+    path = write_team(tmp_path, "team.json", random_team(1))
+    base = json.loads((tmp_path / "team.json").read_text())
+    cost_key, prior_key = next(iter(base["cost"])), next(iter(base["prior"]))
+    hist_key = next(iter(base["kernels"][0]))
+    for edit, message in [
+        (lambda d: d["cost"].update({cost_key: "abc"}), f"cost value 'abc' for '{cost_key}'"),
+        (lambda d: d["cost"].update({cost_key: None}), f"cost value None for '{cost_key}'"),
+        (lambda d: d["prior"].update({prior_key: "0.5x"}), f"prior value '0.5x' for '{prior_key}'"),
+        (lambda d: d["kernels"][0].update({hist_key: [1.0]}), f"DM 1 kernel row '{hist_key}'"),
+        (lambda d: d.update(cost=[1.0]), "cost section must be a JSON object"),
+    ]:
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        (tmp_path / "team.json").write_text(json.dumps(doc))
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+        assert message in report["error"]["message"]
+
 
 def test_unknown_subcommand_and_choice_are_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

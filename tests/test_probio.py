@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamdec.errors import MalformedAnnotation, ValidationError
 from teamdec.gallery import decoupled_example
@@ -28,7 +30,12 @@ from teamdec.probio import (
 )
 from teamdec.strategic import induce_LA, induce_LR
 
-from conftest import random_profile, random_randomized_profile, random_team
+from conftest import (
+    literal_problem_doc,
+    random_profile,
+    random_randomized_profile,
+    random_team,
+)
 
 
 def assert_problems_equal(a: TeamProblem, b: TeamProblem):
@@ -47,6 +54,66 @@ def test_problem_dict_roundtrip_static_and_dynamic():
         problem = random_team(seed, dynamic=dynamic)
         doc = json.loads(json.dumps(problem_to_dict(problem)))
         assert_problems_equal(problem, problem_from_dict(doc))
+
+
+def generated_team(seed, dms, n_omega, dynamic, zeros, tuples):
+    """A ``random_team`` with, optionally, zero cost cells, prior masses,
+    kernel entries and whole kernel rows (one cost cell is -0.0), and
+    tuple-valued points.
+    The prior is in eighths, so it sums to 1 exactly and loading (which
+    renormalizes it) gives back the same masses."""
+    y_sizes, u_sizes = zip(*dms)
+    team = random_team(seed, n_omega, y_sizes, u_sizes, dynamic)
+    rng = np.random.default_rng(seed)
+    spread = np.full(n_omega, 1 / n_omega)
+    prior = (rng.multinomial(8, spread) if zeros else 1 + rng.multinomial(8 - n_omega, spread)) / 8
+    kernels = [k.table for k in team.kernels]
+    cost = team.cost.table
+    if zeros:
+
+        def thin(t):
+            t = t * ((rng.uniform(size=t.shape) > 0.4) | (t == t.max(-1, keepdims=True)))
+            return t / t.sum(-1, keepdims=True)
+
+        kernels = [thin(t) for t in kernels]
+        for t in kernels:  # some histories carry no mass: their rows are empty
+            t[rng.uniform(size=t.shape[:-1]) < 0.2] = 0.0
+        cost = np.where(rng.uniform(size=cost.shape) > 0.5, cost, 0.0)
+        cost.reshape(-1)[0] = -0.0
+    omega, y_spaces, u_spaces = team.omega0, team.y_spaces, team.u_spaces
+    if tuples:
+        omega = FiniteSpace("w", [(w, "w") for w in omega.points])
+        y_spaces = [FiniteSpace(s.name, [(y, (y, 0.5)) for y in s.points]) for s in y_spaces]
+    return TeamProblem(
+        omega,
+        Pmf(omega, prior),
+        y_spaces,
+        u_spaces,
+        [MeasurementKernel(k + 1, t) for k, t in enumerate(kernels)],
+        CostTable(cost),
+        name=f"team-{seed}",
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    n_omega=st.integers(1, 4),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    tuples=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_writer_matches_a_per_cell_writer_and_round_trips(
+    dms, n_omega, dynamic, zeros, tuples, seed
+):
+    problem = generated_team(seed, dms, n_omega, dynamic, zeros, tuples)
+    doc = problem_to_dict(problem)
+    want = literal_problem_doc(problem)
+    assert json.dumps(doc) == json.dumps(want)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert_problems_equal(problem, problem_from_dict(doc))
+    assert_problems_equal(problem, problem_from_dict(json.loads(json.dumps(doc))))
 
 
 def test_problem_file_roundtrip_digest_and_determinism(tmp_path):
@@ -190,6 +257,8 @@ def test_annotation_parsing_errors():
     assert annotation_from_dict({}) is None
     assert annotation_from_dict({"annotations": {}}) is None
     assert annotation_from_dict({"annotations": {"subsystems": {}}}) is None
+    with pytest.raises(ValidationError, match="annotations section must be"):
+        annotation_from_dict({"annotations": [1]})
 
     with pytest.raises(MalformedAnnotation):
         annotation_from_dict(
@@ -260,3 +329,119 @@ def test_measure_parsing_errors():
     bad_point = {"joint": {"|".join(parts): 0.5}}
     with pytest.raises(ValidationError, match="unknown point"):
         measure_from_dict(problem, bad_point)
+
+
+def with_entries(section: dict, first, second) -> dict:
+    """The section with two extra entries: ``first`` after its first
+    entry and ``second`` at the end."""
+    items = list(section.items())
+    return dict(items[:1] + [first] + items[1:] + [second])
+
+
+def test_the_first_offending_key_in_document_order_is_reported():
+    base = problem_to_dict(random_team(1, dynamic=True))
+    row = next(iter(base["kernels"][1].values()))
+    # (section, entry with an unknown label, entry with the wrong arity)
+    cases = {
+        "prior": (("ghost", 0.1), ("0|0", 0.1)),
+        "cost": (("0|ghost|0.0", 1.0), ("0|0.0", 1.0)),
+        "kernel": (("0|ghost", row), ("0|0.0|0.0", row)),
+    }
+    for name, (label, arity) in cases.items():
+        for first, second in ((label, arity), (arity, label)):
+            doc = json.loads(json.dumps(base))
+            if name == "kernel":
+                doc["kernels"][1] = with_entries(doc["kernels"][1], first, second)
+            else:
+                doc[name] = with_entries(doc[name], first, second)
+            with pytest.raises(ValidationError) as err:
+                problem_from_dict(doc)
+            assert repr(first[0]) in str(err.value)
+            assert repr(second[0]) not in str(err.value)
+
+    # a row's fault comes before a later history key's, and after its own key's
+    doc = json.loads(json.dumps(base))
+    key = next(iter(doc["kernels"][1]))
+    doc["kernels"][1][key] = {"ghost": 1.0}
+    doc["kernels"][1]["0|ghost"] = row
+    with pytest.raises(ValidationError, match="unknown measurement 'ghost'"):
+        problem_from_dict(doc)
+    doc["kernels"][1] = {"0|ghost": {"ghost": 1.0}}
+    with pytest.raises(ValidationError, match="unknown action 'ghost'"):
+        problem_from_dict(doc)
+    # the same holds for a row that is not an object
+    doc["kernels"][1] = {key: [1.0], "0|ghost": row}
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        problem_from_dict(doc)
+    doc["kernels"][1] = {"0|ghost": row, key: [1.0]}
+    with pytest.raises(ValidationError, match="unknown action 'ghost'"):
+        problem_from_dict(doc)
+
+    problem = random_team(5)
+    joint = measure_to_dict(induce_LA(problem, random_profile(problem, 0)))["joint"]
+    label, arity = ("ghost|0|0.0|0|0.0", 0.5), ("0|0|0.0", 0.5)
+    for first, second in ((label, arity), (arity, label)):
+        with pytest.raises(ValidationError) as err:
+            measure_from_dict(problem, {"joint": with_entries(joint, first, second)})
+        assert repr(first[0]) in str(err.value)
+        assert repr(second[0]) not in str(err.value)
+
+
+def test_malformed_values_and_sections_are_validation_errors():
+    base = problem_to_dict(random_team(1, dynamic=True))
+    cost_key = next(iter(base["cost"]))
+    prior_key = next(iter(base["prior"]))
+    hist_key = next(iter(base["kernels"][0]))
+    y_label = next(iter(base["kernels"][0][hist_key]))
+    cases = [
+        (("cost", cost_key), "abc", f"cost value 'abc' for '{cost_key}' is not a number"),
+        (("cost", cost_key), None, f"cost value None for '{cost_key}' is not a number"),
+        (("prior", prior_key), "0.5x", f"prior value '0.5x' for '{prior_key}'"),
+        (("cost", cost_key), [1.0], "is not a number"),
+        (("cost", cost_key), 10**400, "is not a number"),
+        (("kernels", 0, hist_key, y_label), {}, f"DM 1 kernel row '{hist_key}' value {{}}"),
+        (("kernels", 0, hist_key), [0.5, 0.5], f"DM 1 kernel row '{hist_key}' must be"),
+        (("kernels", 1), [], "DM 2 kernel table must be a JSON object"),
+        (("cost",), [], "cost section must be a JSON object"),
+        (("prior",), "0.5", "prior section must be a JSON object"),
+        (("kernels",), {}, "kernels section must be a JSON list"),
+        (("spaces",), ["omega0"], "spaces section must be a JSON object"),
+        (("spaces", "measurements"), 5, "equal-length, nonempty"),
+        (("spaces", "omega0", "points"), 5, "space entry for 'omega0' must be"),
+    ]
+    for path, value, message in cases:
+        doc = json.loads(json.dumps(base))
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ValidationError) as err:
+            problem_from_dict(doc)
+        assert message in str(err.value), (path, value)
+
+    # the first offending entry wins, whether its key or its value is bad
+    doc = json.loads(json.dumps(base))
+    doc["cost"][list(base["cost"])[-1]] = "abc"
+    doc["cost"] = with_entries(doc["cost"], ("0|ghost|0.0", 1.0), ("0|0", 1.0))
+    with pytest.raises(ValidationError, match="unknown action 'ghost'"):
+        problem_from_dict(doc)
+    doc = json.loads(json.dumps(base))
+    doc["cost"][cost_key] = "abc"
+    doc["cost"] = with_entries(doc["cost"], ("0|ghost|0.0", 1.0), ("0|0", 1.0))
+    with pytest.raises(ValidationError, match=f"cost value 'abc' for '{cost_key}'"):
+        problem_from_dict(doc)
+
+    # values load as float() reads them: numeric strings and booleans pass
+    doc = json.loads(json.dumps(base))
+    doc["cost"][cost_key] = "0.25"
+    doc["prior"] = {prior_key: True}
+    loaded = problem_from_dict(doc)
+    assert loaded.cost.table.reshape(-1)[0] == 0.25
+    assert loaded.prior.mass.tolist() == [1.0, 0.0, 0.0]
+
+    problem = random_team(5)
+    key = next(iter(measure_to_dict(induce_LA(problem, random_profile(problem, 0)))["joint"]))
+    with pytest.raises(ValidationError, match=f"measure value 'x' for '{key}'"):
+        measure_from_dict(problem, {"joint": {key: "x"}})
+    with pytest.raises(ValidationError, match="measure section must be a JSON object"):
+        measure_from_dict(problem, {"joint": [1.0]})

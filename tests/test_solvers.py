@@ -23,6 +23,7 @@ from teamdec.model import (
     TeamProblem,
     expected_cost,
 )
+from teamdec import solvers
 from teamdec.quadrature import StaticLQTeam
 from teamdec.solvers import (
     best_response,
@@ -188,6 +189,32 @@ def test_brute_force_memory_scales_with_the_prefix_law():
         tracemalloc.stop()
     assert res.n_profiles == 400
     assert peak < 16 * 2**20
+
+
+def test_prefix_scan_chunks_fit_the_cell_budget():
+    # 10^4 maps of DM 1 over a 200-point omega: a 2048-prefix chunk
+    # would hold a law of 2048 * 200 * 10 cells (33 MB) for a 32 KB cost
+    team = random_team(0, n_omega=200, y_sizes=(4, 1), u_sizes=(10, 2))
+    tracemalloc.start()
+    try:
+        res = brute_force(team)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_profiles == 20000
+    # a few chunk-sized arrays of 8-byte cells, whatever the prefix count
+    assert peak < 4 * 8 * solvers._SCAN_CELLS
+
+
+def test_prefix_scan_answers_do_not_depend_on_the_chunk(monkeypatch):
+    team = random_team(3, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True)
+    want = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    for budget in (1, 100, solvers._SCAN_CELLS):  # one prefix a chunk, a few, all
+        monkeypatch.setattr(solvers, "_SCAN_CELLS", budget)
+        res = brute_force(team)
+        assert res.index == int(np.argmin(want))
+        assert res.value == pytest.approx(min(want), abs=1e-12)
+        assert profile_values(team, len(want)) == pytest.approx(want, abs=1e-12)
 
 
 def test_brute_force_logs_its_scan(caplog):

@@ -190,17 +190,18 @@ def literal_in_LR(problem, joint, tol=EQ_TOL):
 def literal_first_witness(problem, lam):
     """Mix and check every pair of profiles in lexicographic order.
     Returns the first pair whose lam-mixture leaves the class (None if
-    there is none), the pairs walked up to and including it, and how
-    many of those differ in two or more DMs' maps."""
+    there is none), the pairs walked up to and including it, and the
+    pairs among those that differ in two or more DMs' maps."""
     profiles = list(enumerate_profiles_literal(problem))
     joints = [literal_joint(problem, p) for p in profiles]
-    walked = across = 0
+    walked, across = 0, []
     for a, b in itertools.combinations(range(len(joints)), 2):
         walked += 1
-        across += sum(
+        if sum(
             not np.array_equal(x, y)
             for x, y in zip(profiles[a].actions, profiles[b].actions)
-        ) >= 2
+        ) >= 2:
+            across.append((a, b))
         if not literal_in_LR(problem, lam * joints[a] + (1 - lam) * joints[b]):
             return (a, b), walked, across
     return None, walked, across
@@ -481,6 +482,47 @@ def test_witness_found_on_correlated_mixture_team():
     assert np.max(np.abs(replay.joint - wit.midpoint.joint)) < 1e-15
 
 
+def test_witness_search_induces_only_the_profiles_it_mixes(monkeypatch):
+    induced = []
+    real = strategic.induced_joint
+
+    def counted(*args, **kwargs):
+        induced.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(strategic, "induced_joint", counted)
+    for team in (
+        trivial_measurement_team(2),
+        binary_signaling_team(),
+        sparse_team(8, (1, 2), (3, 2), True, True, n_omega=1),
+        random_team(4, y_sizes=(2, 2, 1), u_sizes=(2, 2, 2)),
+    ):
+        induced.clear()
+        wit = find_nonconvexity_witness(team)
+        pair, _, across = literal_first_witness(team, 0.5)
+        assert (None if wit is None else (wit.index_a, wit.index_b)) == pair
+        assert len(induced) <= len({i for ab in across for i in ab})
+    # the last team's first witness, (0, 3), mixes 2 of its 32 profiles
+    assert 0 < len(induced) <= 2
+
+    # one DM: every pair varies one map only, so nothing is mixed or induced
+    induced.clear()
+    solo = random_team(7, y_sizes=(2,), u_sizes=(3,))
+    assert find_nonconvexity_witness(solo) is None
+    assert induced == []
+
+    # oversized: the caps refuse before any joint is induced
+    team = random_team(8, n_omega=2, y_sizes=(2, 3), u_sizes=(3, 2))
+    cells = team.n_deterministic_profiles() * int(np.prod(team.joint_shape()))
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells - 1)
+    with pytest.raises(CapExceeded) as err:
+        find_nonconvexity_witness(team)
+    assert (err.value.count, err.value.cap) == (cells, cells - 1)
+    with pytest.raises(CapExceeded):
+        find_nonconvexity_witness(team, cap=team.n_deterministic_profiles() - 1)
+    assert induced == []
+
+
 def test_no_witness_for_a_single_dm():
     rng = np.random.default_rng(0)
     omega = FiniteSpace("w", [0, 1, 2])
@@ -547,10 +589,13 @@ def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, 
         logger.setLevel(level)
     pair, walked, across = literal_first_witness(team, lam)
     assert (None if wit is None else (wit.index_a, wit.index_b)) == pair
-    # only the pairs that differ in two or more DMs' maps are checked
+    # only the pairs that differ in two or more DMs' maps are checked,
+    # and only the profiles in those pairs are induced
+    mixed = {i for ab in across for i in ab}
     assert [r.getMessage() for r in records.buffer] == [
         f"witness search: {team.n_deterministic_profiles()} profiles, "
-        f"{across} pairs tested, {walked - across} pairs skipped"
+        f"{len(across)} pairs tested, {walked - len(across)} pairs skipped, "
+        f"{len(mixed)} joints induced"
     ]
 
 
