@@ -437,9 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
-        "--format", choices=["json"], default="json", help="report format"
-    )
     common.add_argument("--out", default=None, help="write the report here")
 
     sub = parser.add_subparsers(dest="command", required=True)

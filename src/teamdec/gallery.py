@@ -92,6 +92,9 @@ class GaussianBundle:
     def sigma(self) -> float:
         return self.team.sigma
 
+    def affine_optimum(self):
+        return self.team.affine_optimum()
+
     def materialized_reduction(
         self, spec: Optional[QuadratureSpec] = None
     ) -> tuple:
@@ -145,9 +148,6 @@ class NegationBoundReport:
 
 @dataclass(frozen=True)
 class WitsenhausenBundle(GaussianBundle):
-    def affine_optimum(self):
-        return self.team.affine_optimum()
-
     def quantizer(self) -> tuple:
         """(encoder, decoder, level, quadrature value) of the two-point
         policy at level E|y1| with its posterior-mean decoder."""
@@ -194,10 +194,7 @@ class WitsenhausenBundle(GaussianBundle):
     def negation_bound(self) -> NegationBoundReport:
         """Averaged cost of the fully negated two-point pair versus the
         zero-policy cost k^2 sigma^2: see NegationBoundReport."""
-        enc, dec, _ = self.team.quantizer_policies()
-
-        def neg_enc(y1):
-            return -np.asarray(enc(y1))
+        (enc, dec), (neg_enc, _) = self.encoder_flip_pair()
 
         def neg_dec(y2):
             return -np.asarray(dec(y2))
@@ -230,9 +227,6 @@ class AffineSearchReport:
 
 @dataclass(frozen=True)
 class SignalingBundle(GaussianBundle):
-    def affine_optimum(self):
-        return self.team.affine_optimum()
-
     def zero_encoder_value(self) -> float:
         """u1 = 0 carries no information; the best decoder replies with
         the prior mean, paying the full state variance."""
@@ -278,28 +272,25 @@ class SignalingBundle(GaussianBundle):
         return AffineSearchReport(aff.value, float(best), gap, tol, gap <= tol, len(inits))
 
 
+def _gaussian_bundle(bundle: type, name: str, k: float, sigma: float,
+                     spec: Optional[QuadratureSpec]):
+    """The named two-stage team, its discretization and static reduction."""
+    spec = spec if spec is not None else QuadratureSpec()
+    team = TwoStageGaussianTeam.build(name, k, sigma, spec.y1_nodes, spec.w_nodes)
+    problem, references = discretize(team, spec)
+    return bundle(team, spec, problem, static_reduce(problem, references))
+
+
 def witsenhausen(
     k: float = 0.2, sigma: float = 5.0, spec: Optional[QuadratureSpec] = None
 ) -> WitsenhausenBundle:
-    spec = spec if spec is not None else QuadratureSpec()
-    team = TwoStageGaussianTeam.build(
-        "witsenhausen", k, sigma, spec.y1_nodes, spec.w_nodes
-    )
-    problem, references = discretize(team, spec)
-    reduction = static_reduce(problem, references)
-    return WitsenhausenBundle(team, spec, problem, reduction)
+    return _gaussian_bundle(WitsenhausenBundle, "witsenhausen", k, sigma, spec)
 
 
 def signaling(
     k: float = 0.2, sigma: float = 5.0, spec: Optional[QuadratureSpec] = None
 ) -> SignalingBundle:
-    spec = spec if spec is not None else QuadratureSpec()
-    team = TwoStageGaussianTeam.build(
-        "signaling", k, sigma, spec.y1_nodes, spec.w_nodes
-    )
-    problem, references = discretize(team, spec)
-    reduction = static_reduce(problem, references)
-    return SignalingBundle(team, spec, problem, reduction)
+    return _gaussian_bundle(SignalingBundle, "signaling", k, sigma, spec)
 
 
 # --------------------------------------------------------------------------
@@ -456,25 +447,28 @@ class Example1Bundle:
         axes = [u.numeric_values() for u in self.problem.u_spaces]
         return grid_convexity_test(self.problem.cost.table[2], axes)
 
-    def scan_optimum(self) -> tuple:
+    def _scan(self) -> tuple:
         """Per-coordinate 1-D scans over the action grid.
 
         The cost splits per DM into a term for the observed cell and a
         term for its complement, so coordinate-wise argmins assemble the
-        exact grid optimum: returns (u_on_first_cell, u_elsewhere, J*).
+        exact grid optimum: returns (grid, index on the first cell,
+        index elsewhere, J*).
         """
         u = self.problem.u_spaces[0].numeric_values()
         first = 0.1 * (u - 2.0) ** 2
         rest = 0.8 * (u - 2.0) ** 2 + 0.1 * np.sqrt(1.0 + u)
         ia, ib = int(np.argmin(first)), int(np.argmin(rest))
-        value = 2.0 * (first[ia] + rest[ib])
-        return float(u[ia]), float(u[ib]), float(value)
+        return u, ia, ib, float(2.0 * (first[ia] + rest[ib]))
+
+    def scan_optimum(self) -> tuple:
+        """(u_on_first_cell, u_elsewhere, J*) from the per-coordinate scan."""
+        u, ia, ib, value = self._scan()
+        return float(u[ia]), float(u[ib]), value
 
     def scan_profile(self) -> DeterministicProfile:
-        u = self.problem.u_spaces[0].numeric_values()
-        first = 0.1 * (u - 2.0) ** 2
-        rest = 0.8 * (u - 2.0) ** 2 + 0.1 * np.sqrt(1.0 + u)
-        ia, ib = int(np.argmin(first)), int(np.argmin(rest))
+        """Both DMs playing the per-coordinate scan's optimum."""
+        _, ia, ib, _ = self._scan()
         # measurement value 1 (index 1) flags the first cell
         gamma = np.array([ib, ia], dtype=int)
         return DeterministicProfile([gamma, gamma.copy()])

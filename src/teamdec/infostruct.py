@@ -12,7 +12,6 @@ exactly when each of DM i's values co-occurs with at most one of DM k's.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -209,47 +208,22 @@ def sigma_field_of(problem: TeamProblem, dm: int) -> Partition:
     return Partition.from_labels(problem.omega0, lambda i: int(argmax[i]))
 
 
-def _row_supports(problem: TeamProblem, dm: int) -> np.ndarray:
-    """Boolean support table of DM ``dm``'s kernel, one row per history."""
-    return problem.kernels[dm - 1].table > 0.0
-
-
-def _refines_on_atoms(problem: TeamProblem, k: int, i: int) -> bool:
-    """Does DM i's information determine DM k's, on support atoms?
-
-    Iterates over positive-prior exogenous points and all action
-    histories; early-exits on the first measurement value of DM i seen
-    together with two distinct values of DM k.
-    """
-    sup_i = _row_supports(problem, i)  # (|O|, |U1|..|U_{i-1}|, |Yi|)
-    sup_k = _row_supports(problem, k)  # (|O|, |U1|..|U_{k-1}|, |Yk|)
-    pos = problem.prior.support()
-    u_sizes = [len(problem.u_spaces[j]) for j in range(i - 1)]
-    paired: dict = {}
-    for w in pos:
-        for hist in itertools.product(*(range(s) for s in u_sizes)):
-            vi = np.flatnonzero(sup_i[(w, *hist)])
-            vk = np.flatnonzero(sup_k[(w, *hist[: k - 1])])
-            if len(vk) == 0 or len(vi) == 0:
-                continue
-            if len(vk) > 1:
-                # several values of DM k co-occur with each value of DM i
-                return False
-            target = int(vk[0])
-            for v in vi:
-                prev = paired.setdefault(int(v), target)
-                if prev != target:
-                    return False
-    return True
-
-
 def information_nested(problem: TeamProblem, k: int, i: int) -> bool:
     """True iff DM i's information contains DM k's (k < i), compared on
-    support atoms over positive-prior points and all action histories."""
+    support atoms over positive-prior points and all action histories.
+
+    C[v_i, v_k] holds when some atom gives DM i's value v_i and DM k's
+    value v_k positive mass together; DM i refines DM k iff every row of
+    C has at most one true entry."""
     n = problem.n_dms
     if not (1 <= k < i <= n):
         raise ValidationError(f"need 1 <= k < i <= {n}, got k={k}, i={i}")
-    return _refines_on_atoms(problem, k, i)
+    pos = problem.prior.support()
+    sup_k = (problem.kernels[k - 1].table > 0.0)[pos]  # (pos, u1..u_{k-1}, y_k)
+    # DM k's rows do not see u_k..u_{i-1}: fold those axes of DM i's
+    sup_i = (problem.kernels[i - 1].table > 0.0)[pos].any(axis=tuple(range(k, i)))
+    C = sup_i.reshape(-1, sup_i.shape[-1]).T @ sup_k.reshape(-1, sup_k.shape[-1])
+    return bool((C.sum(axis=1) <= 1).all())
 
 
 def classify(problem: TeamProblem) -> ISClass:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import MalformedAnnotation, ValidationError
 from .infostruct import SubsystemAnnotation
 from .model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem
-from .strategic import StrategicMeasure
+from .strategic import StrategicMeasure, _joint_spaces
 
 SEP = "|"
 
@@ -257,9 +257,16 @@ def _nonzero(label_lists: list, table: np.ndarray) -> dict:
     return dict(zip(_keys(label_lists, keep.tolist()), flat[keep].tolist()))
 
 
-def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
+def _check_labels(problem: TeamProblem) -> None:
+    """Raise ValidationError for the first point, in omega0, then the
+    measurement spaces, then the action spaces, whose string form holds
+    SEP or repeats within its space."""
     for s in [problem.omega0, *problem.y_spaces, *problem.u_spaces]:
         _label_map(s)
+
+
+def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
+    _check_labels(problem)
     history = [[str(p) for p in s.points] for s in [problem.omega0, *problem.u_spaces]]
 
     def space_dict(s: FiniteSpace) -> dict:
@@ -330,14 +337,8 @@ def save_problem(problem: TeamProblem, path: str, annotation=None) -> None:
 # -- strategic measures -----------------------------------------------------
 
 
-def _joint_spaces(problem: TeamProblem) -> list:
-    spaces = [problem.omega0]
-    for k in range(problem.n_dms):
-        spaces += [problem.y_spaces[k], problem.u_spaces[k]]
-    return spaces
-
-
 def measure_to_dict(measure: StrategicMeasure) -> dict:
+    _check_labels(measure.problem)
     labels = [[str(p) for p in s.points] for s in _joint_spaces(measure.problem)]
     return {"joint": _nonzero(labels, measure.joint), "origin": measure.origin}
 

@@ -143,22 +143,23 @@ def mix(measures: Sequence[StrategicMeasure], weights) -> StrategicMeasure:
     return StrategicMeasure(base, joint, origin="mixture")
 
 
-def _label_tuple(problem: TeamProblem, axes_idx: tuple) -> tuple:
-    """Labels for a partial joint index (omega0, y1, u1, ...)."""
+def _joint_spaces(problem: TeamProblem) -> list:
+    """The spaces of the joint's axes: omega0, y1, u1, ..., yN, uN."""
     spaces = [problem.omega0]
     for k in range(problem.n_dms):
-        spaces.append(problem.y_spaces[k])
-        spaces.append(problem.u_spaces[k])
-    return tuple(spaces[a].points[i] for a, i in enumerate(axes_idx))
+        spaces += [problem.y_spaces[k], problem.u_spaces[k]]
+    return spaces
 
 
-def _first_offender(dev: np.ndarray, mask: np.ndarray, tol: float):
-    """Lexicographically first index where dev > tol on the mask."""
-    viol = (dev > tol) & mask
-    if not viol.any():
-        return None, float(dev[mask].max(initial=0.0))
-    idx = np.argwhere(viol)[0]
-    return tuple(int(i) for i in idx), float(dev[viol].max())
+def _conditional(table: np.ndarray) -> tuple:
+    """The conditional along the last axis, and ``seen``, the mask of
+    positive sums (that axis kept with length 1).  A zero-sum row comes
+    back as a point mass on index 0."""
+    total = table.sum(axis=-1, keepdims=True)
+    seen = total > 0
+    cond = np.divide(table, total, out=np.zeros_like(table), where=seen)
+    np.copyto(cond[..., :1], 1.0, where=~seen)
+    return cond, seen
 
 
 def aggregate_policy(measure: StrategicMeasure, dm: int) -> np.ndarray:
@@ -168,12 +169,7 @@ def aggregate_policy(measure: StrategicMeasure, dm: int) -> np.ndarray:
     j, n = measure.joint, measure.problem.n_dms
     y_ax, u_ax = 2 * dm - 1, 2 * dm
     other = tuple(a for a in range(2 * n + 1) if a not in (y_ax, u_ax))
-    tab = j.sum(axis=other)  # (|Y_dm|, |U_dm|)
-    denom = tab.sum(axis=1, keepdims=True)
-    out = np.where(denom > 0, tab / np.where(denom > 0, denom, 1.0), 0.0)
-    for r in np.flatnonzero(denom[:, 0] == 0.0):
-        out[r, 0] = 1.0
-    return out
+    return _conditional(j.sum(axis=other))[0]  # (|Y_dm|, |U_dm|)
 
 
 def check_membership_LR(
@@ -183,9 +179,12 @@ def check_membership_LR(
 
     Verifies the exogenous marginal against the prior, then conditions
     (a) and (b) for each decision maker on every positive-mass history.
+    A condition's failure names its first violation in C order and
+    reports its largest deviation.
     """
     problem, j = measure.problem, measure.joint
     n = problem.n_dms
+    spaces = _joint_spaces(problem)
     failures = []
 
     dev = np.abs(measure.exogenous_marginal() - problem.prior.mass)
@@ -198,46 +197,18 @@ def check_membership_LR(
     for k in range(1, n + 1):
         tail = tuple(range(2 * k + 1, 2 * n + 1))
         with_u = j.sum(axis=tail) if tail else j  # (.., y_k, u_k)
-        no_u = with_u.sum(axis=-1)  # (.., y_k)
-        hist = no_u.sum(axis=-1)  # (..)
-
-        # (a): measurement conditional equals the kernel row
-        kern = problem.kernels[k - 1].table  # (omega, u1..u_{k-1}, y_k)
-        # expand kernel over the y-axes of the history
-        expand = kern
-        for y_axis in range(1, 2 * k - 1, 2):
-            expand = np.expand_dims(expand, axis=y_axis)
-        cond_y = np.divide(
-            no_u,
-            hist[..., None],
-            out=np.zeros_like(no_u),
-            where=hist[..., None] > 0,
-        )
-        mask = np.broadcast_to((hist > 0)[..., None], no_u.shape)
-        dev_a = np.abs(cond_y - np.broadcast_to(expand, no_u.shape))
-        where, worst = _first_offender(dev_a, mask, tol)
-        if where is not None:
-            failures.append(
-                FailureRecord(
-                    k, "measurement", _label_tuple(problem, where), worst
-                )
-            )
-
-        # (b): action conditional depends on y_k only
-        agg = aggregate_policy(measure, k)  # (|Y_k|, |U_k|)
-        cond_u = np.divide(
-            with_u,
-            no_u[..., None],
-            out=np.zeros_like(with_u),
-            where=no_u[..., None] > 0,
-        )
-        mask_u = np.broadcast_to((no_u > 0)[..., None], with_u.shape)
-        dev_b = np.abs(cond_u - np.broadcast_to(agg, with_u.shape))
-        where, worst = _first_offender(dev_b, mask_u, tol)
-        if where is not None:
-            failures.append(
-                FailureRecord(k, "policy", _label_tuple(problem, where), worst)
-            )
+        cond_y, seen_h = _conditional(with_u.sum(axis=-1))  # P(y_k | h)
+        cond_u, seen_hy = _conditional(with_u)  # P(u_k | h, y_k)
+        # the kernel (omega, u1..u_{k-1}, y_k), spread over the history's y-axes
+        kern = np.expand_dims(problem.kernels[k - 1].table, tuple(range(1, 2 * k - 1, 2)))
+        for condition, dev, seen in (
+            ("measurement", np.abs(cond_y - kern), seen_h),  # (a)
+            ("policy", np.abs(cond_u - aggregate_policy(measure, k)), seen_hy),  # (b)
+        ):
+            viol = (dev > tol) & seen
+            if viol.any():
+                where = tuple(s.points[i] for s, i in zip(spaces, np.argwhere(viol)[0]))
+                failures.append(FailureRecord(k, condition, where, float(dev[viol].max())))
 
     return MembershipVerdict(not failures, tuple(failures))
 
@@ -296,23 +267,12 @@ def check_membership_LM(measure: StrategicMeasure, tol: float = EQ_TOL) -> bool:
 
     for k in range(1, n + 1):
         drop = (0,) + tuple(2 * m for m in range(1, n + 1) if m != k)
-        tab = j.sum(axis=drop)  # (y1, ..., yN, u_k) with u_k last
-        # move y_k last-but-one for clean broadcasting: axes are already
-        # (y1..yN, u_k); conditional on all measurements:
-        denom = tab.sum(axis=-1, keepdims=True)
-        cond_all = np.divide(tab, denom, out=np.zeros_like(tab), where=denom > 0)
+        tab = j.sum(axis=drop)  # (y1, ..., yN, u_k)
+        cond_all, seen = _conditional(tab)  # P(u_k | y1, ..., yN)
         own_axes = tuple(a for a in range(n) if a != k - 1)
-        own = tab.sum(axis=own_axes)  # (y_k, u_k)
-        own_denom = own.sum(axis=-1, keepdims=True)
-        cond_own = np.divide(
-            own, own_denom, out=np.zeros_like(own), where=own_denom > 0
-        )
-        shape = [1] * (n + 1)
-        shape[k - 1] = cond_own.shape[0]
-        shape[-1] = cond_own.shape[1]
-        dev = np.abs(cond_all - cond_own.reshape(shape))
-        mask = np.broadcast_to(denom > 0, dev.shape)
-        if dev[mask].max(initial=0.0) > tol:
+        cond_own, _ = _conditional(tab.sum(axis=own_axes))  # P(u_k | y_k)
+        dev = np.abs(cond_all - np.expand_dims(cond_own, own_axes))
+        if ((dev > tol) & seen).any():
             return False
     return True
 
@@ -464,12 +424,7 @@ def realize_midpoint_classical(
         tail = tuple(range(2 * k + 1, 2 * n + 1))
         t = mixed.joint.sum(axis=tail) if tail else mixed.joint
         t = t.sum(axis=0)  # drop omega0: kernels see data only
-        denom = t.sum(axis=-1, keepdims=True)
-        kern = np.divide(t, denom, out=np.zeros_like(t), where=denom > 0)
-        flat = kern.reshape(-1, kern.shape[-1])
-        for r in np.flatnonzero(flat.sum(axis=1) == 0.0):
-            flat[r, 0] = 1.0  # unreachable history: arbitrary fixed action
-        kernels.append(kern)
+        kernels.append(_conditional(t)[0])  # unreachable history: action 0
     return HistoryProfile(kernels)
 
 

@@ -229,3 +229,39 @@ def literal_problem_doc(problem):
         "kernels": kernels,
         "cost": cost,
     }
+
+
+def sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega=2):
+    """A random team whose prior and kernel rows may hold zero entries
+    (each row keeps its largest entry), so some histories and
+    measurements carry no mass.  Dynamic kernels vary with every earlier
+    action; static ones repeat one row per exogenous point."""
+    rng = np.random.default_rng(seed)
+
+    def rows(shape):
+        t = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        if zeros:
+            keep = rng.uniform(size=t.shape) > 0.4
+            t = t * (keep | (t == t.max(axis=-1, keepdims=True)))
+            t = t / t.sum(axis=-1, keepdims=True)
+        return t
+
+    omega = FiniteSpace("w", list(range(n_omega)))
+    kernels = []
+    for k, ny in enumerate(y_sizes):
+        hist = (n_omega,) + tuple(u_sizes[:k])
+        if dynamic:
+            table = rows(hist + (ny,))
+        else:
+            row = rows((n_omega, ny)).reshape((n_omega,) + (1,) * k + (ny,))
+            table = np.broadcast_to(row, hist + (ny,)).copy()
+        kernels.append(MeasurementKernel(k + 1, table))
+    return TeamProblem(
+        omega,
+        Pmf(omega, rows((n_omega,))),
+        [FiniteSpace(f"y{k + 1}", list(range(n))) for k, n in enumerate(y_sizes)],
+        [FiniteSpace(f"u{k + 1}", [float(v) for v in range(n)])
+         for k, n in enumerate(u_sizes)],
+        kernels,
+        CostTable(rng.uniform(0.0, 1.0, size=(n_omega,) + tuple(u_sizes))),
+    )

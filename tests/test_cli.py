@@ -189,6 +189,9 @@ def test_unknown_subcommand_and_choice_are_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gallery", "unknown-name"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "x.json", "--format", "json"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

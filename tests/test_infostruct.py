@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamdec.errors import (
     GroundMismatch,
@@ -24,9 +26,9 @@ from teamdec.infostruct import (
     sigma_field_of,
 )
 from teamdec.infostruct import test_conditional_independence as check_ci
-from teamdec.model import FiniteSpace
+from teamdec.model import FiniteSpace, MeasurementKernel, TeamProblem
 
-from conftest import classical_team, random_team, relay_team
+from conftest import classical_team, random_team, relay_team, sparse_team
 
 
 def all_partitions(n):
@@ -185,6 +187,53 @@ def test_classify_partially_nested_with_unrelated_third_dm():
     )
     assert precedence_graph(team).edges == ((1, 2),)
     assert classify(team) is ISClass.PARTIALLY_NESTED
+
+
+def atoms_nested(problem, k, i):
+    """Does DM i's information contain DM k's?  A loop over the support
+    atoms (positive-prior point, action history): False on the first
+    value of DM i seen together with two values of DM k."""
+    sup_i = problem.kernels[i - 1].table > 0.0
+    sup_k = problem.kernels[k - 1].table > 0.0
+    u_sizes = [len(problem.u_spaces[j]) for j in range(i - 1)]
+    paired = {}
+    for w in problem.prior.support():
+        for hist in itertools.product(*(range(s) for s in u_sizes)):
+            vi = np.flatnonzero(sup_i[(w, *hist)])
+            vk = np.flatnonzero(sup_k[(w, *hist[: k - 1])])
+            if len(vk) == 0 or len(vi) == 0:
+                continue
+            if len(vk) > 1:
+                return False
+            for v in vi:
+                if paired.setdefault(int(v), int(vk[0])) != int(vk[0]):
+                    return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3),
+    n_omega=st.integers(1, 4),
+    dynamic=st.booleans(),
+    sharp=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_information_nested_matches_the_atom_loop(dms, n_omega, dynamic, sharp, seed):
+    """Sparse kernels and priors with zero points; ``sharp`` turns every
+    kernel row into a point mass, which makes nested pairs common."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, True, n_omega)
+    if sharp:
+        kernels = [
+            MeasurementKernel(k.dm, np.eye(k.table.shape[-1])[k.table.argmax(axis=-1)])
+            for k in team.kernels
+        ]
+        team = TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                           kernels, team.cost)
+    for i in range(2, len(dms) + 1):
+        for k in range(1, i):
+            assert information_nested(team, k, i) == atoms_nested(team, k, i)
 
 
 def test_sigma_field_requires_point_mass_kernels():

@@ -253,6 +253,25 @@ def test_reserved_separator_and_string_collisions_are_rejected():
         problem_to_dict(problem2)
 
 
+def test_measure_writer_refuses_labels_the_reader_would_refuse():
+    omega = FiniteSpace("w", ["a|b", "c"])
+    problem = TeamProblem(
+        omega,
+        Pmf(omega, [0.5, 0.5]),
+        [FiniteSpace("y1", [0])],
+        [FiniteSpace("u1", [0, 1])],
+        [MeasurementKernel(1, [[1.0], [1.0]])],
+        CostTable([[1.0, 2.0], [3.0, 4.0]]),
+    )
+    with pytest.raises(ValidationError) as wrote_problem:
+        problem_to_dict(problem)
+    measure = induce_LA(problem, random_profile(problem, 0))
+    with pytest.raises(ValidationError) as wrote_measure:
+        measure_to_dict(measure)
+    assert str(wrote_measure.value) == str(wrote_problem.value)
+    assert "reserved separator" in str(wrote_measure.value)
+
+
 def test_annotation_parsing_errors():
     assert annotation_from_dict({}) is None
     assert annotation_from_dict({"annotations": {}}) is None

@@ -53,6 +53,7 @@ from conftest import (
     random_profile,
     random_randomized_profile,
     random_team,
+    sparse_team,
 )
 
 
@@ -99,42 +100,6 @@ def binary_signaling_team():
     )
 
 
-def sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega=2):
-    """A random team whose prior and kernel rows may hold zero entries
-    (each row keeps its largest entry), so some histories and
-    measurements carry no mass.  Dynamic kernels vary with every earlier
-    action; static ones repeat one row per exogenous point."""
-    rng = np.random.default_rng(seed)
-
-    def rows(shape):
-        t = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
-        if zeros:
-            keep = rng.uniform(size=t.shape) > 0.4
-            t = t * (keep | (t == t.max(axis=-1, keepdims=True)))
-            t = t / t.sum(axis=-1, keepdims=True)
-        return t
-
-    omega = FiniteSpace("w", list(range(n_omega)))
-    kernels = []
-    for k, ny in enumerate(y_sizes):
-        hist = (n_omega,) + tuple(u_sizes[:k])
-        if dynamic:
-            table = rows(hist + (ny,))
-        else:
-            row = rows((n_omega, ny)).reshape((n_omega,) + (1,) * k + (ny,))
-            table = np.broadcast_to(row, hist + (ny,)).copy()
-        kernels.append(MeasurementKernel(k + 1, table))
-    return TeamProblem(
-        omega,
-        Pmf(omega, rows((n_omega,))),
-        [FiniteSpace(f"y{k + 1}", list(range(n))) for k, n in enumerate(y_sizes)],
-        [FiniteSpace(f"u{k + 1}", [float(v) for v in range(n)])
-         for k, n in enumerate(u_sizes)],
-        kernels,
-        CostTable(rng.uniform(0.0, 1.0, size=(n_omega,) + tuple(u_sizes))),
-    )
-
-
 # 1-3 DMs as (|Y_k|, |U_k|), at most 32 deterministic profiles
 small_dms = st.lists(
     st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3
@@ -156,35 +121,67 @@ def literal_joint(problem, profile):
     return joint
 
 
-def literal_in_LR(problem, joint, tol=EQ_TOL):
-    """Membership in the individually-randomized class read off the
-    definition, one history at a time: the exogenous marginal is the
-    prior and, for every DM k and every history h = (omega, y1, u1, ...,
-    y_{k-1}, u_{k-1}) of positive mass, (a) P(y_k | h) is the kernel row
-    at (omega, u1, ..., u_{k-1}) and (b) P(u_k | h, y_k) = P(u_k | y_k)
-    wherever P(h, y_k) > 0."""
+def literal_failures(problem, joint, tol=EQ_TOL, point_mass=False):
+    """Membership failures read off the definition, one history at a
+    time: the exogenous marginal is the prior and, for every DM k and
+    every history h = (omega, y1, u1, ..., y_{k-1}, u_{k-1}) of positive
+    mass, (a) P(y_k | h) is the kernel row at (omega, u1, ..., u_{k-1})
+    and (b) P(u_k | h, y_k) = P(u_k | y_k) wherever P(h, y_k) > 0; with
+    ``point_mass``, also P(u_k | y_k) is a point mass wherever P(y_k) > 0.
+
+    The prior fails at its largest deviation; (a) and (b) at their first
+    violation in the order of the loops, with their largest deviation;
+    point-mass at its first violation.  Returns the failures as
+    (dm, condition, labels, deviation) and every deviation compared."""
     n = problem.n_dms
+    spaces = [problem.omega0]
+    for y, u in zip(problem.y_spaces, problem.u_spaces):
+        spaces += [y, u]
+    failures, compared = [], []
+
+    def check(dm, condition, found, axes=spaces, worst=max):
+        """found: [(index, deviation)] in loop order; axes: its spaces."""
+        compared.extend(d for _, d in found)
+        bad = [(i, d) for i, d in found if d > tol]
+        if bad:
+            labels = tuple(s.points[v] for s, v in zip(axes, bad[0][0]))
+            failures.append((dm, condition, labels, worst(d for _, d in bad)))
+
     exo = joint.sum(axis=tuple(range(1, 2 * n + 1)))
-    if np.abs(exo - problem.prior.mass).max() > tol:
-        return False
+    dev = [abs(exo[w] - problem.prior.mass[w]) for w in range(len(exo))]
+    top = max(range(len(dev)), key=dev.__getitem__)
+    check(0, "prior", [((top,), dev[top])])
+    owns = []
     for k in range(1, n + 1):
         marg = joint.sum(axis=tuple(range(2 * k + 1, 2 * n + 1)))
         own = marg.sum(axis=tuple(range(2 * k - 1)))  # (y_k, u_k)
+        owns.append(own)
         kernel = problem.kernels[k - 1].table
+        measurement, policy = [], []
         for h in itertools.product(*(range(s) for s in marg.shape[:-2])):
             p_h = marg[h].sum()
             if p_h <= 0:
                 continue
             for y in range(marg.shape[-2]):
                 p_hy = marg[h][y].sum()
-                if abs(p_hy / p_h - kernel[(h[0], *h[2::2], y)]) > tol:
-                    return False
+                measurement.append(((*h, y), abs(p_hy / p_h - kernel[(h[0], *h[2::2], y)])))
                 if p_hy <= 0:
                     continue
                 for u in range(marg.shape[-1]):
-                    if abs(marg[h][y, u] / p_hy - own[y, u] / own[y].sum()) > tol:
-                        return False
-    return True
+                    d = abs(marg[h][y, u] / p_hy - own[y, u] / own[y].sum())
+                    policy.append(((*h, y, u), d))
+        check(k, "measurement", measurement)
+        check(k, "policy", policy)
+    if point_mass:
+        for k, own in enumerate(owns, start=1):
+            rows = [y for y in range(own.shape[0]) if own[y].sum() > 0]
+            found = [((y,), 1.0 - own[y].max() / own[y].sum()) for y in rows]
+            check(k, "point-mass", found, [problem.y_spaces[k - 1]], lambda ds: next(ds))
+    return failures, compared
+
+
+def literal_in_LR(problem, joint, tol=EQ_TOL):
+    return not literal_failures(problem, joint, tol)[0]
 
 
 def literal_first_witness(problem, lam):
@@ -333,6 +330,43 @@ def test_failure_records_carry_point_labels():
     # labels come from the declared spaces, not raw indices
     assert rec.where[0] in team.omega0.points
     assert rec.deviation > 0.1
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    dms=small_dms,
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    kind=st.sampled_from(["randomized", "mixed", "perturbed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_failure_records_match_a_literal_history_loop(dms, n_omega, dynamic, zeros, kind, seed):
+    """Both checks against the per-history loop: same verdicts, DMs,
+    conditions and labels, and the same deviations up to rounding.
+    Deviations between rounding noise and 1e-6 are left out, so no
+    verdict hangs on the order of a sum."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    if kind == "randomized":
+        joint = induce_LR(team, random_randomized_profile(team, seed)).joint
+    else:
+        joints = [induce_LA(team, random_profile(team, seed + i)).joint for i in range(3)]
+        joint = 0.5 * joints[0] + 0.3 * joints[1] + 0.2 * joints[2]
+    if kind == "perturbed":
+        rng = np.random.default_rng(seed)
+        noise = rng.uniform(size=joint.shape) * (rng.uniform(size=joint.shape) < 0.3)
+        joint = joint + 0.2 * noise
+    measure = StrategicMeasure(team, joint / joint.sum())
+    for check, point_mass in ((check_membership_LR, False), (check_membership_LA, True)):
+        want, compared = literal_failures(team, measure.joint, point_mass=point_mass)
+        assume(not any(EQ_TOL / 100 < d <= 1e-6 for d in compared))
+        verdict = check(measure)
+        assert verdict.member == (not want)
+        got = [(f.dm, f.condition, f.where) for f in verdict.failures]
+        assert got == [w[:3] for w in want]
+        for f, w in zip(verdict.failures, want):
+            assert f.deviation == pytest.approx(w[3], rel=1e-9)
 
 
 # -------------------------------------------------------------- enumeration
