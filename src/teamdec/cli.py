@@ -436,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         "certification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--out", default=None, help="write the report here")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("reduce", parents=[common])
+    p = sub.add_parser("reduce", parents=[seeded])
     p.add_argument("problem")
     p.add_argument(
         "--reference",
@@ -469,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=ENUM_CAP)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("certify-convexity", parents=[common])
+    p = sub.add_parser("certify-convexity", parents=[seeded])
     p.add_argument("problem")
     p.set_defaults(fn=cmd_certify)
 
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=32)
     p.set_defaults(fn=cmd_strategic)
 
-    p = sub.add_parser("gallery", parents=[common])
+    p = sub.add_parser("gallery", parents=[seeded])
     p.add_argument(
         "name",
         choices=["witsenhausen", "signaling", "square-wave", "example1", "decoupled"],

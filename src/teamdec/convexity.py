@@ -370,7 +370,6 @@ def certify_team_convexity(
     problem: TeamProblem,
     seed: int = 0,
     pair_candidates: Optional[Sequence] = None,
-    tol: float = MIDPOINT_TOL,
 ) -> ConvexityVerdict:
     """Certify convexity or non-convexity of a static team problem.
 
@@ -400,7 +399,7 @@ def certify_team_convexity(
     records = []
     join_violation = None
     for b, mass, table in zip(cond.block_indices, cond.masses, cond.tables):
-        rep = grid_convexity_test(table, u_vals, tol=tol)
+        rep = grid_convexity_test(table, u_vals)
         if not rep.passed:
             join_violation = (b, rep.violation)
             notes.append(
@@ -419,7 +418,7 @@ def certify_team_convexity(
 
     cond_m = conditional_cost(problem, meet)
     for b, table in zip(cond_m.block_indices, cond_m.tables):
-        rep = grid_convexity_test(table, u_vals, tol=tol)
+        rep = grid_convexity_test(table, u_vals)
         if rep.passed:
             continue
         v = rep.violation
@@ -450,7 +449,7 @@ def certify_team_convexity(
     )
     for pa, pb in candidates:
         rep = policy_midpoint_test(problem, pa, pb)
-        if rep.violation > tol:
+        if rep.violation > MIDPOINT_TOL:
             witness = PolicyWitness(
                 pa,
                 pb,
@@ -474,20 +473,15 @@ def certify_team_convexity(
     return ConvexityVerdict(VerdictKind.INCONCLUSIVE, None, None, None, tuple(notes))
 
 
-def replay_cell_witness(
-    problem: TeamProblem, witness: CellWitness, partition: Optional[Partition] = None
-) -> MidpointReport:
+def replay_cell_witness(problem: TeamProblem, witness: CellWitness) -> MidpointReport:
     """Convert a cell witness into a profile-pair midpoint violation.
 
     Builds two profiles that play the witness actions on the block (the
     block is common knowledge, hence measurable for every DM) and a
     shared default elsewhere; the resulting midpoint-cost violation
     equals the block mass times the witness gap, up to rounding."""
-    if partition is None:
-        partition = meet_all(
-            [sigma_field_of(problem, k) for k in range(1, problem.n_dms + 1)]
-        )
-    block = set(partition.blocks[witness.block_index])
+    meet = meet_all([sigma_field_of(problem, k) for k in range(1, problem.n_dms + 1)])
+    block = set(meet.blocks[witness.block_index])
     actions_a, actions_b = [], []
     for k in range(1, problem.n_dms + 1):
         table = problem.kernels[k - 1].table

@@ -95,13 +95,10 @@ class GaussianBundle:
     def affine_optimum(self):
         return self.team.affine_optimum()
 
-    def materialized_reduction(
-        self, spec: Optional[QuadratureSpec] = None
-    ) -> tuple:
+    def materialized_reduction(self) -> tuple:
         """A smaller instance of the same team whose reduced static
         problem fits the table cap: (problem, reduction, static problem)."""
-        spec = spec if spec is not None else CERTIFY_SPEC
-        problem, references = discretize(self.team, spec)
+        problem, references = discretize(self.team, CERTIFY_SPEC)
         reduction = static_reduce(problem, references)
         return problem, reduction, reduction.reduced_problem()
 
@@ -161,9 +158,9 @@ class WitsenhausenBundle(GaussianBundle):
             aff.value, jq, jq < aff.value, aff.value - jq, a, aff.gain
         )
 
-    def certify(self, spec: Optional[QuadratureSpec] = None) -> ConvexityVerdict:
+    def certify(self) -> ConvexityVerdict:
         """Convexity certification on the materialized reduced problem."""
-        _, _, reduced = self.materialized_reduction(spec)
+        _, _, reduced = self.materialized_reduction()
         return certify_team_convexity(reduced)
 
     def encoder_flip_pair(self) -> tuple:
@@ -176,10 +173,10 @@ class WitsenhausenBundle(GaussianBundle):
 
         return (enc, dec), (neg_enc, dec)
 
-    def encoder_flip_report(self, lam: float = 0.5) -> EncoderFlipReport:
+    def encoder_flip_report(self) -> EncoderFlipReport:
         """Closed-form non-convexity witness: see EncoderFlipReport."""
         pa, pb = self.encoder_flip_pair()
-        rep = self.team.midpoint_test(pa, pb, lam)
+        rep = self.team.midpoint_test(pa, pb, 0.5)
         first_stage = self.k**2 * self.sigma**2
         return EncoderFlipReport(
             rep.value_a,
@@ -188,7 +185,7 @@ class WitsenhausenBundle(GaussianBundle):
             rep.value_avg,
             rep.violation,
             first_stage,
-            lam,
+            0.5,
         )
 
     def negation_bound(self) -> NegationBoundReport:
@@ -246,7 +243,7 @@ class SignalingBundle(GaussianBundle):
         curvature = 1.0 + self.k**2
         return curvature * (h1**2 + h2**2 + h_y2**2) / 2.0
 
-    def discretized_search(self, n_random: int = 4, seed: int = 0) -> AffineSearchReport:
+    def discretized_search(self, seed: int = 0) -> AffineSearchReport:
         aff = self.affine_optimum()
         g, c = aff.gain, self.team.affine_decoder_gain(aff.gain)
         inits = [
@@ -262,7 +259,7 @@ class SignalingBundle(GaussianBundle):
                 lambda y: c * self.sigma * np.sign(y),
             ),
         ]
-        inits += seeded_profiles(self.problem, seed, n_random)
+        inits += seeded_profiles(self.problem, seed, 4)
         best = np.inf
         for init in inits:
             res = pbp_iterate(self.problem, init=init)
@@ -370,10 +367,11 @@ class SquareWaveFamily:
         bound = Fraction(1, 2 * self.n)
         return IntervalRecord(lo, hi, integral, target, gap, bound, gap <= bound)
 
-    def diagnostics(self, intervals=None) -> tuple:
-        if intervals is None:
-            intervals = [(Fraction(0), Fraction(j, 20)) for j in range(1, 21)]
-        return tuple(self.interval_record(lo, hi) for lo, hi in intervals)
+    def diagnostics(self) -> tuple:
+        """Interval records for [0, j/20], j = 1..20."""
+        return tuple(
+            self.interval_record(Fraction(0), Fraction(j, 20)) for j in range(1, 21)
+        )
 
     def member_ci(self) -> bool:
         return test_conditional_independence(self.table)
@@ -386,6 +384,8 @@ def square_wave(n: int) -> SquareWaveFamily:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     m = 2 * n
+    if 2 * m * m > TABLE_CAP:  # DM 2's kernel, shape (m, 2, m)
+        raise CapExceeded(2 * m * m, TABLE_CAP)
     cells = tuple((Fraction(j, m), Fraction(j + 1, m)) for j in range(m))
     labels = [f"[{lo},{hi})" for lo, hi in cells]
     omega = FiniteSpace("interval-cell", labels)
@@ -543,12 +543,8 @@ class DecoupledBundle:
         return abs(self.joint_solve().value - sum(self.subsystem_values()))
 
 
-def decoupled_example(
-    coupled: bool = False,
-    p_x1: float = 0.6,
-    eps1: float = 0.2,
-    eps2: float = 0.1,
-) -> DecoupledBundle:
+def decoupled_example(coupled: bool = False) -> DecoupledBundle:
+    p_x1, eps1, eps2 = 0.6, 0.2, 0.1  # P(x1 = 0) and the two crossovers
     bits = (0, 1)
     omega_points = [(x1, x2, z0) for x1 in bits for x2 in bits for z0 in bits]
     omega = FiniteSpace("x1*x2*z0", omega_points)

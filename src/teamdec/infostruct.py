@@ -73,12 +73,6 @@ class Partition:
     def discrete(ground: FiniteSpace) -> "Partition":
         return Partition(ground, [[i] for i in range(len(ground))])
 
-    def block_of(self, i: int) -> tuple:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise ValidationError(f"index {i} not in ground set")
-
     def block_index(self) -> np.ndarray:
         """Array mapping each ground index to its block's position."""
         out = np.empty(len(self.ground), dtype=int)
@@ -261,11 +255,11 @@ def nested_along_order(problem: TeamProblem) -> bool:
     )
 
 
-def test_conditional_independence(joint: np.ndarray, tol: float = EQ_TOL) -> bool:
+def test_conditional_independence(joint: np.ndarray) -> bool:
     """Is X independent of Z given Y, for a joint table over (X, Y, Z)?
 
     Checks P(x, z | y) = P(x | y) P(z | y) on every positive-mass slice
-    of Y, to within ``tol``.
+    of Y, to within EQ_TOL.
     """
     j = np.asarray(joint, dtype=float)
     if j.ndim != 3:
@@ -283,7 +277,7 @@ def test_conditional_independence(joint: np.ndarray, tol: float = EQ_TOL) -> boo
             continue
         cond = sl / py
         prod = np.outer(cond.sum(axis=1), cond.sum(axis=0))
-        if np.max(np.abs(cond - prod)) > tol:
+        if np.max(np.abs(cond - prod)) > EQ_TOL:
             return False
     return True
 
@@ -345,9 +339,7 @@ class SubsystemAnnotation:
 
 
 def is_stochastically_decoupled(
-    problem: TeamProblem,
-    annotation: SubsystemAnnotation,
-    tol: float = EQ_TOL,
+    problem: TeamProblem, annotation: SubsystemAnnotation
 ) -> bool:
     """Do the per-subsystem conditional-independence conditions hold?
 
@@ -393,6 +385,6 @@ def is_stochastically_decoupled(
         ny = joint.shape[own]
         nz = int(np.prod([joint.shape[a] for a in z_axes])) if z_axes else 1
         tri = marg.reshape(nx, ny, nz)
-        if not test_conditional_independence(tri, tol=tol):
+        if not test_conditional_independence(tri):
             return False
     return True

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .constants import INPUT_MASS_TOL, TABLE_CAP
-from .errors import DimensionMismatch, ValidationError
+from .errors import CapExceeded, DimensionMismatch, NonNumericActions, ValidationError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -62,8 +62,6 @@ class FiniteSpace:
         try:
             return np.array([float(p) for p in self.points])
         except (TypeError, ValueError):
-            from .errors import NonNumericActions
-
             raise NonNumericActions(
                 f"space {self.name!r} has non-numeric points"
             ) from None
@@ -294,10 +292,6 @@ class RandomizedProfile:
             mats.append(np.full((ny, nu), 1.0 / nu))
         return RandomizedProfile(mats)
 
-    @staticmethod
-    def from_deterministic(problem: TeamProblem, profile: DeterministicProfile) -> "RandomizedProfile":
-        return RandomizedProfile(profile.matrices(problem))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -470,8 +464,6 @@ def induced_joint(problem: TeamProblem, profile, cap: int = TABLE_CAP) -> np.nda
     The marginal on axis 0 equals the prior exactly up to float rounding.
     Raises CapExceeded when the table would have more than ``cap`` cells.
     """
-    from .errors import CapExceeded
-
     shape = problem.joint_shape()
     cells = int(np.prod([int(s) for s in shape], dtype=object))
     if cells > cap:

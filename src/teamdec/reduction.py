@@ -237,9 +237,7 @@ class EquivalenceReport:
     equivalent: bool
 
 
-def verify_equivalence(
-    reduction: StaticReduction, profiles: Sequence, tol: float = REDUCTION_TOL
-) -> EquivalenceReport:
+def verify_equivalence(reduction: StaticReduction, profiles: Sequence) -> EquivalenceReport:
     """Compare original and reduced expected costs on given profiles."""
     records = []
     for p in profiles:
@@ -247,4 +245,4 @@ def verify_equivalence(
         b = reduction.reduced_expected_cost(p)
         records.append(EquivalenceRecord(a, b, abs(a - b)))
     worst = max((r.gap for r in records), default=0.0)
-    return EquivalenceReport(tuple(records), worst, tol, worst <= tol)
+    return EquivalenceReport(tuple(records), worst, REDUCTION_TOL, worst <= REDUCTION_TOL)

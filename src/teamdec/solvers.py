@@ -38,6 +38,7 @@ _CHUNK = 2048
 # cells of laws and one-hot maps one chunk of the prefix scan may hold:
 # 1/64 of the largest table a call may build, 2.5 MB of floats
 _SCAN_CELLS = TABLE_CAP // 64
+_MAX_SWEEPS = 200  # PBP sweep budget; not a tolerance, so not in tolerances()
 _log = logging.getLogger(__name__)
 
 
@@ -273,7 +274,6 @@ class PbpResult:
 def pbp_iterate(
     problem: TeamProblem,
     init: Optional[DeterministicProfile] = None,
-    max_sweeps: int = 200,
 ) -> PbpResult:
     """Cyclic best responses (DM 1..N per sweep) until a full sweep
     leaves the profile unchanged."""
@@ -287,7 +287,7 @@ def pbp_iterate(
     trace = [value]
     converged = False
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         sweeps += 1
         changed = False
         for i in range(1, problem.n_dms + 1):
@@ -343,12 +343,7 @@ class StationarityReport:
     stationary: bool
 
 
-def check_stationarity(
-    team,
-    params,
-    fd_step: float = FD_STEP,
-    tol: float = STATIONARITY_TOL,
-) -> StationarityReport:
+def check_stationarity(team, params) -> StationarityReport:
     """Two-sided checks that ``params`` is a stationary point of a
     quadrature team: a central finite-difference gradient of the total
     cost, and the per-measurement-node conditional optimality residuals
@@ -358,10 +353,10 @@ def check_stationarity(
     for j in range(theta.size):
         up = theta.copy()
         dn = theta.copy()
-        up[j] += fd_step
-        dn[j] -= fd_step
+        up[j] += FD_STEP
+        dn[j] -= FD_STEP
         grad[j] = (team.expected_cost_params(up) - team.expected_cost_params(dn)) / (
-            2 * fd_step
+            2 * FD_STEP
         )
     residuals = team.per_node_stationarity(theta)
     node_inf = max(
@@ -373,8 +368,8 @@ def check_stationarity(
         tuple(float(g) for g in grad),
         grad_inf,
         node_inf,
-        tol,
-        grad_inf <= tol and node_inf <= tol,
+        STATIONARITY_TOL,
+        grad_inf <= STATIONARITY_TOL and node_inf <= STATIONARITY_TOL,
     )
 
 
@@ -401,21 +396,19 @@ def check_krainak_inequality(
     params,
     n_samples: int = 1000,
     seed: int = 0,
-    scale: float = 1.0,
-    tol: float = KRAINAK_TOL,
 ) -> KrainakResult:
     """Test the first-order inequality against sampled profiles.
 
-    Samples are Gaussian perturbations of ``params``; the inner product
+    Samples are standard Gaussian perturbations of ``params``; the inner product
     uses the team's closed-form stationarity moments, so the test is
     exact per sample (no quadrature error beyond the moments)."""
     theta = np.asarray(params, dtype=float)
     g = np.asarray(team.stationarity_moments(theta), dtype=float)
     rng = np.random.default_rng(seed)
-    deltas = rng.normal(0.0, scale, size=(n_samples, theta.size))
+    deltas = rng.normal(0.0, 1.0, size=(n_samples, theta.size))
     inners = deltas @ g
     j = int(np.argmin(inners))
     min_inner = float(inners[j])
-    ok = min_inner >= -tol
+    ok = min_inner >= -KRAINAK_TOL
     violator = None if ok else tuple(float(x) for x in theta + deltas[j])
-    return KrainakResult(ok, min_inner, n_samples, tol, violator)
+    return KrainakResult(ok, min_inner, n_samples, KRAINAK_TOL, violator)

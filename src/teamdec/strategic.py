@@ -30,6 +30,7 @@ from .errors import (
     StaticRequired,
     ValidationError,
 )
+from .infostruct import nested_along_order, precedence_graph
 from .model import (
     DeterministicProfile,
     RandomizedProfile,
@@ -172,9 +173,7 @@ def aggregate_policy(measure: StrategicMeasure, dm: int) -> np.ndarray:
     return _conditional(j.sum(axis=other))[0]  # (|Y_dm|, |U_dm|)
 
 
-def check_membership_LR(
-    measure: StrategicMeasure, tol: float = EQ_TOL
-) -> MembershipVerdict:
+def check_membership_LR(measure: StrategicMeasure) -> MembershipVerdict:
     """Decide membership in the individually-randomized class.
 
     Verifies the exogenous marginal against the prior, then conditions
@@ -188,7 +187,7 @@ def check_membership_LR(
     failures = []
 
     dev = np.abs(measure.exogenous_marginal() - problem.prior.mass)
-    if dev.max(initial=0.0) > tol:
+    if dev.max(initial=0.0) > EQ_TOL:
         w = int(np.argmax(dev))
         failures.append(
             FailureRecord(0, "prior", (problem.omega0.points[w],), float(dev[w]))
@@ -205,7 +204,7 @@ def check_membership_LR(
             ("measurement", np.abs(cond_y - kern), seen_h),  # (a)
             ("policy", np.abs(cond_u - aggregate_policy(measure, k)), seen_hy),  # (b)
         ):
-            viol = (dev > tol) & seen
+            viol = (dev > EQ_TOL) & seen
             if viol.any():
                 where = tuple(s.points[i] for s, i in zip(spaces, np.argwhere(viol)[0]))
                 failures.append(FailureRecord(k, condition, where, float(dev[viol].max())))
@@ -213,18 +212,16 @@ def check_membership_LR(
     return MembershipVerdict(not failures, tuple(failures))
 
 
-def check_membership_LA(
-    measure: StrategicMeasure, tol: float = EQ_TOL
-) -> MembershipVerdict:
+def check_membership_LA(measure: StrategicMeasure) -> MembershipVerdict:
     """Membership in the deterministic class: the randomized conditions
     plus point-mass action conditionals on positive-mass measurements."""
-    verdict = check_membership_LR(measure, tol=tol)
+    verdict = check_membership_LR(measure)
     failures = list(verdict.failures)
     n = measure.problem.n_dms
     for k in range(1, n + 1):
         # zero-mass rows come back as point masses and never fail
         top = aggregate_policy(measure, k).max(axis=1)
-        bad = np.flatnonzero(top < 1.0 - tol)
+        bad = np.flatnonzero(top < 1.0 - EQ_TOL)
         if bad.size:
             y = int(bad[0])
             failures.append(
@@ -238,14 +235,12 @@ def check_membership_LA(
     return MembershipVerdict(not failures, tuple(failures))
 
 
-def check_membership_LM(measure: StrategicMeasure, tol: float = EQ_TOL) -> bool:
+def check_membership_LM(measure: StrategicMeasure) -> bool:
     """Membership in the conditional-independence relaxation, defined for
     static problems: the (omega0, measurements) marginal must match the
     problem's, and each DM's action given all measurements must depend
     on its own measurement only.
     """
-    from .infostruct import precedence_graph
-
     problem, j = measure.problem, measure.joint
     if precedence_graph(problem).edges:
         raise StaticRequired("the conditional-independence class is defined "
@@ -262,7 +257,7 @@ def check_membership_LM(measure: StrategicMeasure, tol: float = EQ_TOL) -> bool:
         rows = kern.reshape(kern.shape[0], -1, kern.shape[-1])[:, 0, :]
         operands += [rows, [0, k]]
     ref = np.einsum(*operands, list(range(n + 1)))
-    if np.max(np.abs(marg_y - ref)) > tol:
+    if np.max(np.abs(marg_y - ref)) > EQ_TOL:
         return False
 
     for k in range(1, n + 1):
@@ -272,7 +267,7 @@ def check_membership_LM(measure: StrategicMeasure, tol: float = EQ_TOL) -> bool:
         own_axes = tuple(a for a in range(n) if a != k - 1)
         cond_own, _ = _conditional(tab.sum(axis=own_axes))  # P(u_k | y_k)
         dev = np.abs(cond_all - np.expand_dims(cond_own, own_axes))
-        if ((dev > tol) & seen).any():
+        if ((dev > EQ_TOL) & seen).any():
             return False
     return True
 
@@ -406,8 +401,6 @@ def realize_midpoint_classical(
     the mixture exactly (chain rule), which is what makes the mixture
     implementable once each DM also sees its predecessors' data.
     """
-    from .infostruct import nested_along_order
-
     if not nested_along_order(problem):
         raise NotClassical(
             "information is not nested along the decision order"
@@ -469,7 +462,11 @@ def realize_kernel_as_function(kernel) -> ThresholdPolicy:
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2:
         raise ValidationError("kernel must be a (|Y|, |U|) array")
-    if np.any(k < 0) or np.any(np.abs(k.sum(axis=1) - 1.0) > INPUT_MASS_TOL):
+    if (
+        not np.all(np.isfinite(k))
+        or np.any(k < 0)
+        or np.any(np.abs(k.sum(axis=1) - 1.0) > INPUT_MASS_TOL)
+    ):
         raise ValidationError("kernel rows must be probability vectors")
     k = k / k.sum(axis=1, keepdims=True)
     return ThresholdPolicy(k, np.cumsum(k, axis=1))

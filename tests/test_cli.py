@@ -100,6 +100,7 @@ def test_validate_ok_report_and_digest(tmp_path, capsys):
     assert code == 0
     assert report["tool"] == "teamdec"
     assert report["command"] == "validate"
+    assert report["seed"] == 0
     assert report["is_valid"] is True
     assert report["violations"] == []
     assert isinstance(report["tolerances"], dict)
@@ -183,15 +184,19 @@ def test_missing_file_and_broken_json_exit_2(tmp_path, capsys):
 
 
 def test_unknown_subcommand_and_choice_are_usage_errors(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate", "x.json"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["gallery", "unknown-name"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "x.json", "--format", "json"])
-    assert exc.value.code == 2
+    for argv in (
+        ["frobnicate", "x.json"],
+        ["gallery", "unknown-name"],
+        ["validate", "x.json", "--format", "json"],
+        # only reduce, certify-convexity and gallery read a seed
+        ["validate", "x.json", "--seed", "1"],
+        ["classify", "x.json", "--seed", "1"],
+        ["solve", "x.json", "--method", "brute", "--seed", "1"],
+        ["strategic", "enumerate", "x.json", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -370,8 +375,9 @@ def test_reduce_dynamic_team_reports_equivalence(tmp_path, capsys):
 
 def test_reduce_cap_skips_materialization(tmp_path, capsys):
     path = write_team(tmp_path, "team.json", random_team(4, dynamic=True))
-    code, report = run_cli(capsys, "reduce", path, "--cap", "1")
+    code, report = run_cli(capsys, "reduce", path, "--cap", "1", "--seed", "3")
     assert code == 0
+    assert report["seed"] == 3
     assert report["reduced_problem"] is None
     assert "exceeds cap" in report["reduced_skipped"]
     assert report["equivalence"]["equivalent"] is True
@@ -385,8 +391,9 @@ def test_reduce_cap_skips_materialization(tmp_path, capsys):
 def test_certify_convex_team(tmp_path, capsys):
     problem = numeric_grid_team(lambda w, u1, u2: (u1 + u2 - w) ** 2)
     path = write_team(tmp_path, "convex.json", problem)
-    code, report = run_cli(capsys, "certify-convexity", path)
+    code, report = run_cli(capsys, "certify-convexity", path, "--seed", "2")
     assert code == 0
+    assert report["seed"] == 2
     assert report["verdict"] == "convex"
     assert report["certificate"]
     assert "cell_witness" not in report and "policy_witness" not in report
@@ -568,8 +575,9 @@ def test_gallery_signaling_zero_encoder(capsys):
 
 
 def test_gallery_square_wave(capsys):
-    code, report = run_cli(capsys, "gallery", "square-wave", "--n", "4")
+    code, report = run_cli(capsys, "gallery", "square-wave", "--n", "4", "--seed", "5")
     assert code == 0
+    assert report["seed"] == 5
     assert report["n"] == 4
     assert report["member_ci"] is True
     assert report["limit_ci"] is False
@@ -582,6 +590,11 @@ def test_gallery_square_wave(capsys):
     code, report = run_cli(capsys, "gallery", "square-wave", "--n", "0")
     assert code == 2
     assert report["error"]["type"] == "ValidationError"
+
+    # DM 2's kernel alone would hold 2 * 3164**2 > TABLE_CAP cells
+    code, report = run_cli(capsys, "gallery", "square-wave", "--n", "1582")
+    assert code == 1
+    assert report["error"]["type"] == "CapExceeded"
 
 
 def test_gallery_example1(capsys):

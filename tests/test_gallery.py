@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from teamdec.constants import TABLE_CAP
 from teamdec.convexity import VerdictKind, policy_midpoint_test
 from teamdec.errors import CapExceeded, ValidationError
 from teamdec.gallery import (
@@ -268,6 +269,10 @@ def test_square_wave_large_n_caps_dense_paths_only():
         fam.limit_measure()
     # the O(n) surface stays available
     assert fam.interval_record(Fraction(0), Fraction(1, 3)).within_bound
+    # DM 2's (2n, 2, 2n) kernel is refused before anything is built
+    with pytest.raises(CapExceeded) as exc:
+        square_wave(1582)
+    assert (exc.value.count, exc.value.cap) == (2 * 3164**2, TABLE_CAP)
 
 
 def test_square_wave_rejects_nonpositive_n():

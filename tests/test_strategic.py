@@ -479,8 +479,9 @@ def test_threshold_policy_intervals_are_exact():
     assert pol.action(1.0 - 1e-12, 0) == 2
     with pytest.raises(ValidationError):
         pol.action(1.0, 0)
-    with pytest.raises(ValidationError):
-        realize_kernel_as_function(np.array([[0.5, 0.4]]))
+    for bad in ([[0.5, 0.4]], [[np.nan, 1.0]]):
+        with pytest.raises(ValidationError):
+            realize_kernel_as_function(np.array(bad))
 
 
 def test_threshold_policy_sampling_frequencies():
@@ -664,7 +665,7 @@ def test_mixtures_that_vary_one_dm_stay_in_the_class(dms, n_omega, dynamic, zero
         [induce_LA(team, prof), induce_LA(team, DeterministicProfile(maps))],
         [lam, 1.0 - lam],
     )
-    assert check_membership_LR(mid, tol=EQ_TOL).member
+    assert check_membership_LR(mid).member
 
 
 # ------------------------------------- conditional-independence relaxation
