@@ -14,7 +14,6 @@ from .convexity import (
     CellWitness,
     ConvexityVerdict,
     GridConvexityReport,
-    PolicyWitness,
     VerdictKind,
     certify_team_convexity,
     conditional_cost,

@@ -88,8 +88,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    if isinstance(obj, DeterministicProfile):
-        return {"actions": [to_jsonable(a) for a in obj.actions]}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
@@ -409,18 +407,17 @@ def cmd_gallery(args) -> dict:
                 "value": value,
             },
         }
-    if name == "decoupled":
-        bundle = decoupled_example(coupled=args.coupled)
-        joint = bundle.joint_solve()
-        subs = bundle.subsystem_values()
-        return {
-            "coupled": bundle.coupled,
-            "verdict": bundle.verdict(),
-            "joint_value": joint.value,
-            "subsystem_values": list(subs),
-            "split_gap": bundle.split_gap(),
-        }
-    raise ValidationError(f"unknown gallery name {name!r}")
+    # name == "decoupled": the parser's choices admit no other name
+    bundle = decoupled_example(coupled=args.coupled)
+    joint = bundle.joint_solve()
+    subs = bundle.subsystem_values()
+    return {
+        "coupled": bundle.coupled,
+        "verdict": bundle.verdict(),
+        "joint_value": joint.value,
+        "subsystem_values": list(subs),
+        "split_gap": bundle.split_gap(),
+    }
 
 
 # --------------------------------------------------------------------------

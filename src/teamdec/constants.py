@@ -5,7 +5,7 @@ can embed the full set in force.
 """
 
 # Input probability masses may be off by this much before normalization
-# is refused; within it, vectors are renormalized exactly.
+# is refused; within it, vectors are divided by their sum.
 INPUT_MASS_TOL = 1e-9
 
 # Exact-identity checks on probabilities and conditionals.

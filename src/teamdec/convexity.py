@@ -214,18 +214,21 @@ class CellWitness:
 
 
 @dataclass(frozen=True)
-class PolicyWitness:
-    """Two profiles whose cost average is beaten by no single profile at
-    the action-lattice midpoint: J(midpoint) > (J_a + J_b)/2."""
+class MidpointReport:
+    """Costs of two profiles and of their action-lattice midpoint; a
+    positive ``violation`` means J(midpoint) exceeds the lam-average of
+    J_a and J_b."""
 
-    profile_a: DeterministicProfile
-    profile_b: DeterministicProfile
-    midpoint: DeterministicProfile
-    lam: float
     value_a: float
     value_b: float
     value_mid: float
+    value_avg: float
     violation: float
+    lam: float
+    midpoint: DeterministicProfile
+    snap_error: float
+    profile_a: DeterministicProfile
+    profile_b: DeterministicProfile
 
 
 @dataclass(frozen=True)
@@ -242,20 +245,8 @@ class ConvexityVerdict:
     kind: VerdictKind
     certificate: Optional[tuple]  # BlockRecords over the join partition
     cell_witness: Optional[CellWitness]
-    policy_witness: Optional[PolicyWitness]
+    policy_witness: Optional[MidpointReport]
     notes: tuple
-
-
-@dataclass(frozen=True)
-class MidpointReport:
-    value_a: float
-    value_b: float
-    value_mid: float
-    value_avg: float
-    violation: float
-    lam: float
-    midpoint: DeterministicProfile
-    snap_error: float
 
 
 def _numeric_u(problem: TeamProblem) -> list:
@@ -290,20 +281,17 @@ def policy_midpoint_test(
     jb = expected_cost(problem, profile_b)
     jm = expected_cost(problem, mid)
     avg = lam * ja + (1 - lam) * jb
-    return MidpointReport(ja, jb, jm, avg, jm - avg, lam, mid, snap_err)
+    return MidpointReport(ja, jb, jm, avg, jm - avg, lam, mid, snap_err, profile_a, profile_b)
 
 
 def _mirror(
-    problem: TeamProblem,
-    profile: DeterministicProfile,
-    dms: Optional[Sequence] = None,
+    problem: TeamProblem, profile: DeterministicProfile, dms: Sequence
 ) -> DeterministicProfile:
-    """Reflect the action maps of the given DMs (default: all) through
-    the center of their action grids."""
-    chosen = set(range(1, problem.n_dms + 1)) if dms is None else set(dms)
+    """Reflect the action maps of the given DMs (1-based) through the
+    center of their action grids."""
     actions = []
     for d, a in enumerate(profile.actions):
-        if d + 1 in chosen:
+        if d + 1 in dms:
             actions.append(len(problem.u_spaces[d]) - 1 - a)
         else:
             actions.append(a.copy())
@@ -450,22 +438,12 @@ def certify_team_convexity(
     for pa, pb in candidates:
         rep = policy_midpoint_test(problem, pa, pb)
         if rep.violation > MIDPOINT_TOL:
-            witness = PolicyWitness(
-                pa,
-                pb,
-                rep.midpoint,
-                rep.lam,
-                rep.value_a,
-                rep.value_b,
-                rep.value_mid,
-                rep.violation,
-            )
             notes.append(
                 f"profile pair with midpoint cost {rep.value_mid:.6g} beats "
                 f"average {rep.value_avg:.6g}"
             )
             return ConvexityVerdict(
-                VerdictKind.NOT_CONVEX, None, None, witness, tuple(notes)
+                VerdictKind.NOT_CONVEX, None, None, rep, tuple(notes)
             )
     notes.append(
         f"no violation among {len(candidates)} candidate profile pairs"

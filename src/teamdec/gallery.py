@@ -478,6 +478,8 @@ def example1(step: float = 0.01) -> Example1Bundle:
     if step <= 0 or step > 1:
         raise ValidationError(f"step must be in (0, 1], got {step}")
     n_points = int(round(1.0 / step)) + 1
+    if 3 * n_points * n_points > TABLE_CAP:  # the cost, shape (3, n, n)
+        raise CapExceeded(3 * n_points * n_points, TABLE_CAP)
     u_vals = np.linspace(1.0, 2.0, n_points)
 
     omega = FiniteSpace("state-cell", ["[0,0.1)", "[0.1,0.9]", "(0.9,1]"])

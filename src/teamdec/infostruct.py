@@ -290,26 +290,20 @@ class SubsystemAnnotation:
     ``factor_sizes`` gives the mixed-radix factorization of the
     exogenous index (C order, leftmost factor slowest).  Each DM owns a
     disjoint set of state factors; ``shared_factors`` are visible to the
-    whole team; leftover factors are treated as per-DM noises attached
-    by ``noise_factors`` (optional, also disjoint).
+    whole team; leftover factors are noise, which the decoupling test
+    sums out.
     """
 
     factor_sizes: tuple
     dm_state_factors: tuple  # per DM, tuple of factor positions
     shared_factors: tuple
-    dm_noise_factors: tuple = ()
 
-    def __init__(self, factor_sizes, dm_state_factors, shared_factors, dm_noise_factors=None):
+    def __init__(self, factor_sizes, dm_state_factors, shared_factors):
         object.__setattr__(self, "factor_sizes", tuple(int(s) for s in factor_sizes))
         object.__setattr__(
             self, "dm_state_factors", tuple(tuple(f) for f in dm_state_factors)
         )
         object.__setattr__(self, "shared_factors", tuple(shared_factors))
-        if dm_noise_factors is None:
-            dm_noise_factors = tuple(() for _ in self.dm_state_factors)
-        object.__setattr__(
-            self, "dm_noise_factors", tuple(tuple(f) for f in dm_noise_factors)
-        )
 
     def validate_against(self, problem: TeamProblem) -> None:
         n_fac = len(self.factor_sizes)
@@ -329,7 +323,7 @@ class SubsystemAnnotation:
                 f"{problem.n_dms} DMs"
             )
         used: list = []
-        for group in self.dm_state_factors + (self.shared_factors,) + self.dm_noise_factors:
+        for group in self.dm_state_factors + (self.shared_factors,):
             for f in group:
                 if not (0 <= f < n_fac):
                     raise MalformedAnnotation(f"factor index {f} out of range")

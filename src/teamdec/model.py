@@ -30,6 +30,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _masses(table, what: str) -> np.ndarray:
+    """``table`` as probabilities along its last axis: each slice divided
+    by its sum.  ValidationError unless every mass is finite and
+    nonnegative and every slice sums to 1 within INPUT_MASS_TOL."""
+    t = np.asarray(table, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValidationError(f"{what} has non-finite mass")
+    if np.any(t < 0):
+        raise ValidationError(f"{what} has negative mass")
+    sums = t.sum(axis=-1, keepdims=True)
+    off = np.abs(sums - 1.0) > INPUT_MASS_TOL
+    if off.any():
+        s = float(sums[off][0])
+        raise ValidationError(f"{what} sums to {s!r}, outside tolerance {INPUT_MASS_TOL}")
+    return _readonly(t / sums)
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A named, ordered, nonempty finite set of distinct point labels."""
@@ -72,7 +89,7 @@ class Pmf:
     """A probability mass function on a FiniteSpace.
 
     Masses must be nonnegative and sum to 1 within INPUT_MASS_TOL; they
-    are renormalized exactly at construction.
+    are divided by their sum at construction.
     """
 
     space: FiniteSpace
@@ -85,29 +102,13 @@ class Pmf:
                 f"pmf on {space.name!r}: got shape {m.shape}, "
                 f"expected ({len(space)},)"
             )
-        if not np.all(np.isfinite(m)):
-            raise ValidationError(f"pmf on {space.name!r} has non-finite mass")
-        if np.any(m < 0):
-            raise ValidationError(f"pmf on {space.name!r} has negative mass")
-        s = float(m.sum())
-        if abs(s - 1.0) > INPUT_MASS_TOL:
-            raise ValidationError(
-                f"pmf on {space.name!r} sums to {s!r}, outside tolerance "
-                f"{INPUT_MASS_TOL}"
-            )
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mass", _readonly(m / s))
+        object.__setattr__(self, "mass", _masses(m, f"pmf on {space.name!r}"))
 
     @staticmethod
     def uniform(space: FiniteSpace) -> "Pmf":
         n = len(space)
         return Pmf(space, np.full(n, 1.0 / n))
-
-    @staticmethod
-    def point_mass(space: FiniteSpace, label) -> "Pmf":
-        m = np.zeros(len(space))
-        m[space.index(label)] = 1.0
-        return Pmf(space, m)
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.mass > 0.0)
@@ -264,14 +265,7 @@ class RandomizedProfile:
             arr = np.asarray(m, dtype=float)
             if arr.ndim != 2:
                 raise ValidationError("each policy kernel must be a 2-D array")
-            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-                raise ValidationError("policy kernel rows must be nonnegative and finite")
-            sums = arr.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > INPUT_MASS_TOL):
-                raise ValidationError(
-                    f"policy kernel row sums {sums!r} outside tolerance {INPUT_MASS_TOL}"
-                )
-            mats.append(_readonly(arr / sums[:, None]))
+            mats.append(_masses(arr, "policy kernel row"))
         object.__setattr__(self, "kernels", tuple(mats))
 
     def matrices(self, problem: TeamProblem) -> list:

@@ -237,7 +237,6 @@ def annotation_from_dict(doc: dict) -> Optional[SubsystemAnnotation]:
             factor_sizes=ints(sub["factor_sizes"]),
             dm_state_factors=tuple(map(ints, sub["dm_state_factors"])),
             shared_factors=ints(sub.get("shared_factors", ())),
-            dm_noise_factors=tuple(map(ints, sub.get("dm_noise_factors", ()))),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedAnnotation(f"bad subsystems annotation: {e}") from e
@@ -298,7 +297,6 @@ def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
                 "factor_sizes": list(annotation.factor_sizes),
                 "dm_state_factors": [list(g) for g in annotation.dm_state_factors],
                 "shared_factors": list(annotation.shared_factors),
-                "dm_noise_factors": [list(g) for g in annotation.dm_noise_factors],
             }
         }
     return doc

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import ENUM_CAP, EQ_TOL, INPUT_MASS_TOL, TABLE_CAP
+from .constants import ENUM_CAP, EQ_TOL, TABLE_CAP
 from .errors import (
     CapExceeded,
     NonMember,
@@ -36,6 +37,8 @@ from .model import (
     RandomizedProfile,
     TeamProblem,
     _full_joint,
+    _masses,
+    _readonly,
     induced_joint,
 )
 from .solvers import _profile_maps, iter_profiles
@@ -48,7 +51,7 @@ class StrategicMeasure:
     """A normalized joint over the full product space of a problem.
 
     Nonnegativity and total mass are enforced at construction (masses
-    are renormalized exactly when within INPUT_MASS_TOL of 1).  Whether
+    are divided by their sum when within INPUT_MASS_TOL of 1).  Whether
     the exogenous marginal matches the prior is part of membership
     checking, so perturbed candidates remain constructible.
     """
@@ -63,17 +66,8 @@ class StrategicMeasure:
             raise ValidationError(
                 f"joint shape {j.shape} != {problem.joint_shape()}"
             )
-        if np.any(j < 0) or not np.all(np.isfinite(j)):
-            raise ValidationError("joint must be nonnegative and finite")
-        total = float(j.sum())
-        if abs(total - 1.0) > INPUT_MASS_TOL:
-            raise ValidationError(
-                f"joint mass {total!r} outside tolerance {INPUT_MASS_TOL}"
-            )
-        j = np.ascontiguousarray(j / total)
-        j.setflags(write=False)
         object.__setattr__(self, "problem", problem)
-        object.__setattr__(self, "joint", j)
+        object.__setattr__(self, "joint", _masses(j.reshape(-1), "joint").reshape(j.shape))
         object.__setattr__(self, "origin", origin)
 
     def exogenous_marginal(self) -> np.ndarray:
@@ -107,10 +101,6 @@ class MembershipVerdict:
     member: bool
     failures: tuple
 
-    @staticmethod
-    def ok() -> "MembershipVerdict":
-        return MembershipVerdict(True, ())
-
 
 def induce_LA(problem: TeamProblem, profile: DeterministicProfile) -> StrategicMeasure:
     """The joint induced by a deterministic profile."""
@@ -133,9 +123,7 @@ def mix(measures: Sequence[StrategicMeasure], weights) -> StrategicMeasure:
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(measures),):
         raise ValidationError(f"{len(measures)} measures vs weights {w.shape}")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > INPUT_MASS_TOL:
-        raise ValidationError("weights must be a probability vector")
-    w = w / w.sum()
+    w = _masses(w, "weight vector")
     base = measures[0].problem
     for m in measures[1:]:
         if m.problem is not base and m.problem.joint_shape() != base.joint_shape():
@@ -279,7 +267,7 @@ def _profile_count(problem: TeamProblem, cap: int) -> int:
     count = problem.n_deterministic_profiles()
     if count > cap:
         raise CapExceeded(count, cap)
-    cells = count * int(np.prod(problem.joint_shape()))
+    cells = count * math.prod(problem.joint_shape())
     if cells > TABLE_CAP:
         raise CapExceeded(cells, TABLE_CAP)
     return count
@@ -372,12 +360,7 @@ class HistoryProfile:
     kernels: tuple
 
     def __init__(self, kernels: Sequence):
-        mats = []
-        for m in kernels:
-            arr = np.ascontiguousarray(np.asarray(m, dtype=float))
-            arr.setflags(write=False)
-            mats.append(arr)
-        object.__setattr__(self, "kernels", tuple(mats))
+        object.__setattr__(self, "kernels", tuple(_readonly(m) for m in kernels))
 
 
 def induce_history_profile(problem: TeamProblem, hp: HistoryProfile) -> StrategicMeasure:
@@ -462,13 +445,7 @@ def realize_kernel_as_function(kernel) -> ThresholdPolicy:
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2:
         raise ValidationError("kernel must be a (|Y|, |U|) array")
-    if (
-        not np.all(np.isfinite(k))
-        or np.any(k < 0)
-        or np.any(np.abs(k.sum(axis=1) - 1.0) > INPUT_MASS_TOL)
-    ):
-        raise ValidationError("kernel rows must be probability vectors")
-    k = k / k.sum(axis=1, keepdims=True)
+    k = _masses(k, "kernel row")
     return ThresholdPolicy(k, np.cumsum(k, axis=1))
 
 
@@ -488,10 +465,8 @@ def uniform_realization_mixture(problem: TeamProblem, profile: RandomizedProfile
         cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
         pieces = []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo:
-                continue
-            mid_draw = lo  # the piece lies inside one action segment per row
-            actions = [pol.action(mid_draw, y) for y in range(kern.shape[0])]
+            # the piece lies inside one action segment per row
+            actions = [pol.action(lo, y) for y in range(kern.shape[0])]
             pieces.append((float(hi - lo), np.array(actions, dtype=int)))
         per_dm.append(pieces)
     out = []

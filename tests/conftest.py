@@ -92,6 +92,33 @@ def classical_team(seed, n_omega=4, u1=2, u2=2):
     )
 
 
+def sign_product_team():
+    """Static team on omega = (a, b) in {-1, 1}^2, uniform: DM 1 sees a,
+    DM 2 sees b, both act in {-1, 0, 1}, and the cost is
+    3 - 2ab u1 u2 + 0.1 (u1^2 + u2^2).  Every join block is a saddle,
+    while the meet (the whole space) averages the cross term away, so
+    only the policy-pair search can certify non-convexity."""
+    omega = FiniteSpace("ab", ["-1,-1", "-1,1", "1,-1", "1,1"])
+    a = np.array([-1.0, -1.0, 1.0, 1.0])
+    b = np.array([-1.0, 1.0, -1.0, 1.0])
+    y_spaces = [FiniteSpace("a", [-1.0, 1.0]), FiniteSpace("b", [-1.0, 1.0])]
+    grid = np.array([-1.0, 0.0, 1.0])
+    u_spaces = [FiniteSpace("u1", list(grid)), FiniteSpace("u2", list(grid))]
+    t1 = np.stack([a == -1, a == 1], axis=1).astype(float)
+    t2 = np.stack([b == -1, b == 1], axis=1).astype(float)
+    t2 = np.broadcast_to(t2[:, None, :], (4, 3, 2)).copy()
+    u1, u2 = grid[None, :, None], grid[None, None, :]
+    cost = 3.0 - 2.0 * (a * b)[:, None, None] * u1 * u2 + 0.1 * (u1**2 + u2**2)
+    return TeamProblem(
+        omega,
+        Pmf.uniform(omega),
+        y_spaces,
+        u_spaces,
+        [MeasurementKernel(1, t1), MeasurementKernel(2, t2)],
+        CostTable(cost),
+    )
+
+
 def relay_team(seed, n_omega=3, u1=2, u2=2):
     """A full-recall chain: DM 1 sees a deterministic function of omega;
     DM 2 sees the pair (DM 1's measurement, DM 1's action) exactly.  The

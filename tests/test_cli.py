@@ -13,6 +13,7 @@ import pytest
 
 from teamdec import strategic
 from teamdec.cli import main
+from teamdec.convexity import policy_midpoint_test
 from teamdec.model import (
     CostTable,
     DeterministicProfile,
@@ -21,7 +22,7 @@ from teamdec.model import (
     Pmf,
     TeamProblem,
 )
-from teamdec.probio import measure_to_dict, save_problem
+from teamdec.probio import load_problem, measure_to_dict, save_problem
 from teamdec.solvers import pbp_iterate
 from teamdec.strategic import induce_LA, mix
 
@@ -31,6 +32,7 @@ from conftest import (
     random_profile,
     random_team,
     relay_team,
+    sign_product_team,
 )
 
 
@@ -417,6 +419,24 @@ def test_certify_not_convex_team_reports_witness(tmp_path, capsys):
     assert report["error"]["type"] == "StaticRequired"
 
 
+def test_certify_policy_witness_replays_from_the_report(tmp_path, capsys):
+    path = write_team(tmp_path, "sign.json", sign_product_team())
+    code, report = run_cli(capsys, "certify-convexity", path)
+    assert code == 0
+    assert report["verdict"] == "not-convex"
+    assert "cell_witness" not in report
+    w = report["policy_witness"]
+    pa, pb = (
+        DeterministicProfile(w[key]["action_indices"]) for key in ("profile_a", "profile_b")
+    )
+    rep = policy_midpoint_test(load_problem(path).problem, pa, pb, lam=w["lam"])
+    assert rep.violation == w["violation"] > 0
+    assert (rep.value_a, rep.value_b, rep.value_mid) == (
+        w["value_a"], w["value_b"], w["value_mid"]
+    )
+    assert [m.tolist() for m in rep.midpoint.actions] == w["midpoint"]["action_indices"]
+
+
 # --------------------------------------------------------------------------
 # strategic
 # --------------------------------------------------------------------------
@@ -559,6 +579,11 @@ def test_gallery_witsenhausen_checks(tmp_path, capsys):
     assert code == 0
     assert report["equivalence"]["equivalent"] is True
 
+    code, report = run_cli(capsys, "gallery", "witsenhausen", "--check", "certify")
+    assert code == 0
+    assert report["verdict"] == "not-convex"
+    assert report["violation"] > 0
+
     code, report = run_cli(
         capsys, "gallery", "witsenhausen", "--check", "bogus"
     )
@@ -572,6 +597,13 @@ def test_gallery_signaling_zero_encoder(capsys):
     assert code == 0
     assert report["value_zero_encoder"] == pytest.approx(25.0, abs=1e-9)
     assert report["state_variance"] == 25.0
+
+
+def test_gallery_signaling_default_search(capsys):
+    code, report = run_cli(capsys, "gallery", "signaling", "--nodes", "16")
+    assert code == 0
+    assert report["n_inits"] == 7
+    assert report["matches"] == (report["gap"] <= report["tolerance"])
 
 
 def test_gallery_square_wave(capsys):
@@ -609,6 +641,11 @@ def test_gallery_example1(capsys):
     code, report = run_cli(capsys, "gallery", "example1", "--step", "0")
     assert code == 2
     assert report["error"]["type"] == "ValidationError"
+
+    # 2582 points per axis: the (3, n, n) cost would exceed TABLE_CAP
+    code, report = run_cli(capsys, "gallery", "example1", "--step", "0.0003874")
+    assert code == 1
+    assert report["error"]["type"] == "CapExceeded"
 
 
 def test_gallery_decoupled(capsys):

@@ -36,7 +36,7 @@ from teamdec.convexity import (
     replay_cell_witness,
 )
 
-from conftest import naive_expected_cost, random_team
+from conftest import naive_expected_cost, random_team, sign_product_team
 
 
 def both_see_state_team(costs, omega_points, u_grid, prior=None):
@@ -317,6 +317,20 @@ def test_certify_with_explicit_pair_candidates():
     assert verdict.kind is VerdictKind.NOT_CONVEX
     assert verdict.policy_witness.violation == pytest.approx(
         rep.violation, abs=1e-12
+    )
+
+
+def test_certify_is_inconclusive_when_no_candidate_pair_violates():
+    team = sign_product_team()
+    assert certify_team_convexity(team).kind is VerdictKind.NOT_CONVEX
+    verdict = certify_team_convexity(team, pair_candidates=[])
+    assert verdict.kind is VerdictKind.INCONCLUSIVE
+    assert verdict.certificate is None
+    assert verdict.cell_witness is None and verdict.policy_witness is None
+    assert verdict.notes == (
+        "join block 0 fails midpoint convexity by 1.800e+00",
+        "all positive-mass meet conditionals pass midpoint convexity",
+        "no violation among 0 candidate profile pairs",
     )
 
 

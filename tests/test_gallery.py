@@ -336,6 +336,10 @@ def test_example1_rejects_bad_step():
         example1(step=0.0)
     with pytest.raises(ValidationError):
         example1(step=1.5)
+    # 2582 points per axis: the (3, n, n) cost is refused before it is built
+    with pytest.raises(CapExceeded) as exc:
+        example1(1 / 2581)
+    assert (exc.value.count, exc.value.cap) == (3 * 2582**2, TABLE_CAP)
 
 
 # --------------------------------------------------------------------------

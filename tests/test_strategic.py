@@ -28,6 +28,7 @@ from teamdec.model import (
     RandomizedProfile,
     TeamProblem,
     expected_cost,
+    induced_joint,
 )
 from teamdec.strategic import (
     HistoryProfile,
@@ -418,6 +419,58 @@ def test_enumerate_LA_refuses_oversized_joints_before_inducing(monkeypatch):
     assert induced == []
     monkeypatch.setattr(strategic, "TABLE_CAP", cells)
     assert len(enumerate_LA(team)) == len(induced) == team.n_deterministic_profiles()
+
+
+def test_caps_count_joint_cells_without_wrapping():
+    # six DMs, |Y_k| = 10^4, |U_k| = 1: one profile, 10^24 joint cells
+    n = 6
+    omega = FiniteSpace("w", [0])
+    ys = [FiniteSpace(f"y{k}", range(10**4)) for k in range(1, n + 1)]
+    us = [FiniteSpace(f"u{k}", [0.0]) for k in range(1, n + 1)]
+    kernels = [
+        MeasurementKernel(k, np.full((1,) * k + (10**4,), 1e-4)) for k in range(1, n + 1)
+    ]
+    team = TeamProblem(
+        omega, Pmf.uniform(omega), ys, us, kernels, CostTable(np.zeros((1,) * (n + 1)))
+    )
+    searches = (
+        enumerate_LA,
+        find_nonconvexity_witness,
+        lambda t: induced_joint(t, DeterministicProfile([[0] * 10**4] * n)),
+    )
+    for search in searches:
+        with pytest.raises(CapExceeded) as err:
+            search(team)
+        assert err.value.count == 10**24
+
+
+@pytest.mark.parametrize(
+    "what",
+    ["pmf on 's'", "policy kernel row", "joint", "weight vector", "kernel row"],
+    ids=["pmf", "policy", "joint", "mix", "threshold"],
+)
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([np.nan, 1.0], "has non-finite mass"),
+        ([-0.5, 1.5], "has negative mass"),
+        ([0.5, 0.4], "sums to 0.9, outside tolerance 1e-09"),
+    ],
+    ids=["nan", "negative", "short"],
+)
+def test_every_probability_table_is_refused_alike(what, row, message):
+    team = random_team(0, n_omega=2, y_sizes=(1,), u_sizes=(1,))  # joint (2, 1, 1)
+    measure = induce_LA(team, DeterministicProfile([[0]]))
+    build = {
+        "pmf on 's'": lambda: Pmf(FiniteSpace("s", [0, 1]), row),
+        "policy kernel row": lambda: RandomizedProfile([[row]]),
+        "joint": lambda: StrategicMeasure(team, np.reshape(row, (2, 1, 1))),
+        "weight vector": lambda: mix([measure, measure], row),
+        "kernel row": lambda: realize_kernel_as_function([row]),
+    }[what]
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == f"{what} {message}"
 
 
 def test_deterministic_class_attains_the_randomized_optimum():
