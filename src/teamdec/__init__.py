@@ -54,9 +54,7 @@ from .infostruct import (
     is_partially_nested,
     is_stochastically_decoupled,
     join,
-    join_all,
     meet,
-    meet_all,
     nested_along_order,
     precedence_graph,
     sigma_field_of,

@@ -110,6 +110,18 @@ def profile_fields(problem: TeamProblem, profile: DeterministicProfile) -> dict:
     return {"actions_by_measurement": out, "action_indices": [list(map(int, a)) for a in profile.actions]}
 
 
+def _equivalence(reduction, profiles: list) -> dict:
+    """The ``equivalence`` section: cost agreement between a problem and
+    its static reduction on the given profiles."""
+    eq = verify_equivalence(reduction, profiles)
+    return {
+        "profiles": len(profiles),
+        "max_gap": eq.max_gap,
+        "tol": eq.tol,
+        "equivalent": eq.equivalent,
+    }
+
+
 def _load(path: str) -> ProblemFile:
     pf = load_problem(path)
     violations = validate(pf.problem)
@@ -181,8 +193,6 @@ def cmd_reduce(args) -> dict:
                 mass[labels.index(key)] = float(v)
             references.append(Pmf(problem.y_spaces[d], mass))
     reduction = static_reduce(problem, references)
-    profiles = seeded_profiles(problem, args.seed, 5)
-    eq = verify_equivalence(reduction, profiles)
     report = {
         "input_digest": pf.digest,
         "references": [
@@ -193,12 +203,9 @@ def cmd_reduce(args) -> dict:
             }
             for ref in reduction.references
         ],
-        "equivalence": {
-            "profiles": len(profiles),
-            "max_gap": eq.max_gap,
-            "tol": eq.tol,
-            "equivalent": eq.equivalent,
-        },
+        "equivalence": _equivalence(
+            reduction, seeded_profiles(problem, args.seed, 5)
+        ),
     }
     try:
         reduced = reduction.reduced_problem(cap=args.cap)
@@ -362,13 +369,7 @@ def cmd_gallery(args) -> dict:
                     lambda y: np.zeros_like(y),
                 ),
             ] + seeded_profiles(bundle.problem, seed, 2)
-            eq = verify_equivalence(bundle.reduction, profiles)
-            report["equivalence"] = {
-                "profiles": len(profiles),
-                "max_gap": eq.max_gap,
-                "tol": eq.tol,
-                "equivalent": eq.equivalent,
-            }
+            report["equivalence"] = _equivalence(bundle.reduction, profiles)
         else:
             raise ValidationError(f"unknown witsenhausen check {check!r}")
         return report

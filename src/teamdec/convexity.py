@@ -30,8 +30,9 @@ from .constants import MIDPOINT_TOL, STRICT_RATE
 from .errors import NonNumericActions, StaticRequired, ValidationError
 from .infostruct import (
     Partition,
-    join_all,
-    meet_all,
+    _observation,
+    join,
+    meet,
     precedence_graph,
     sigma_field_of,
 )
@@ -379,11 +380,9 @@ def certify_team_convexity(
         )
     u_vals = _numeric_u(problem)
     partitions = [sigma_field_of(problem, k) for k in range(1, problem.n_dms + 1)]
-    join = join_all(partitions)
-    meet = meet_all(partitions)
     notes = []
 
-    cond = conditional_cost(problem, join)
+    cond = conditional_cost(problem, join(*partitions))
     records = []
     join_violation = None
     for b, mass, table in zip(cond.block_indices, cond.masses, cond.tables):
@@ -404,23 +403,22 @@ def certify_team_convexity(
             VerdictKind.CONVEX, tuple(records), None, None, tuple(notes)
         )
 
-    cond_m = conditional_cost(problem, meet)
+    def action_labels(index: tuple) -> tuple:
+        return tuple(u.points[i] for u, i in zip(problem.u_spaces, index))
+
+    common = meet(*partitions)
+    cond_m = conditional_cost(problem, common)
     for b, table in zip(cond_m.block_indices, cond_m.tables):
         rep = grid_convexity_test(table, u_vals)
         if rep.passed:
             continue
         v = rep.violation
-        labels = tuple(
-            problem.omega0.points[i] for i in meet.blocks[b]
-        )
         witness = CellWitness(
             b,
-            labels,
-            tuple(problem.u_spaces[d].points[v.index_a[d]] for d in range(len(u_vals))),
-            tuple(problem.u_spaces[d].points[v.index_b[d]] for d in range(len(u_vals))),
-            tuple(
-                problem.u_spaces[d].points[v.index_mid[d]] for d in range(len(u_vals))
-            ),
+            tuple(problem.omega0.points[i] for i in common.blocks[b]),
+            action_labels(v.index_a),
+            action_labels(v.index_b),
+            action_labels(v.index_mid),
             0.5,
             v.value_mid,
             0.5 * (v.value_a + v.value_b),
@@ -458,26 +456,20 @@ def replay_cell_witness(problem: TeamProblem, witness: CellWitness) -> MidpointR
     block is common knowledge, hence measurable for every DM) and a
     shared default elsewhere; the resulting midpoint-cost violation
     equals the block mass times the witness gap, up to rounding."""
-    meet = meet_all([sigma_field_of(problem, k) for k in range(1, problem.n_dms + 1)])
-    block = set(meet.blocks[witness.block_index])
+    dms = range(1, problem.n_dms + 1)
+    common = meet(*(sigma_field_of(problem, k) for k in dms))
+    positive = problem.prior.mass > 0
+    inside = positive & (common.block_index() == witness.block_index)
     actions_a, actions_b = [], []
-    for k in range(1, problem.n_dms + 1):
-        table = problem.kernels[k - 1].table
-        rows = table.reshape((table.shape[0], -1, table.shape[-1]))[:, 0, :]
-        y_of_omega = rows.argmax(axis=1)
-        ny = len(problem.y_spaces[k - 1])
-        ua = problem.u_spaces[k - 1].index(witness.u_a[k - 1])
-        ub = problem.u_spaces[k - 1].index(witness.u_b[k - 1])
-        map_a = np.zeros(ny, dtype=int)
-        map_b = np.zeros(ny, dtype=int)
-        for y in range(ny):
-            pre = set(np.nonzero(y_of_omega == y)[0].tolist())
-            pre = {w for w in pre if problem.prior.mass[w] > 0}
-            if pre and pre <= block:
-                map_a[y] = ua
-                map_b[y] = ub
-        actions_a.append(map_a)
-        actions_b.append(map_b)
+    for k in dms:
+        y, ny = _observation(problem, k), len(problem.y_spaces[k - 1])
+        # a measurement plays the witness actions when every positive-prior
+        # point producing it lies in the block (and at least one does)
+        hits = np.bincount(y[inside], minlength=ny)
+        play = (hits > 0) & (hits == np.bincount(y[positive], minlength=ny))
+        space = problem.u_spaces[k - 1]
+        actions_a.append(np.where(play, space.index(witness.u_a[k - 1]), 0))
+        actions_b.append(np.where(play, space.index(witness.u_b[k - 1]), 0))
     return policy_midpoint_test(
         problem,
         DeterministicProfile(actions_a),

@@ -22,6 +22,7 @@ from .errors import (
     GroundMismatch,
     MalformedAnnotation,
     NonDeterministicMeasurement,
+    StaticRequired,
     ValidationError,
 )
 from .model import (
@@ -87,18 +88,19 @@ class Partition:
         return all(len({coarse[i] for i in b}) == 1 for b in self.blocks)
 
 
-def _check_ground(p: Partition, q: Partition) -> None:
-    if p.ground.points != q.ground.points:
-        raise GroundMismatch(
-            f"partitions on {p.ground.name!r} and {q.ground.name!r}"
-        )
+def _check_ground(p: Partition, *rest: Partition) -> None:
+    for q in rest:
+        if p.ground.points != q.ground.points:
+            raise GroundMismatch(
+                f"partitions on {p.ground.name!r} and {q.ground.name!r}"
+            )
 
 
-def meet(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening: connected components of block overlap."""
-    _check_ground(p, q)
-    n = len(p.ground)
-    parent = list(range(n))
+def meet(p: Partition, *rest: Partition) -> Partition:
+    """Finest common coarsening of any number of partitions: connected
+    components of block overlap."""
+    _check_ground(p, *rest)
+    parent = list(range(len(p.ground)))
 
     def find(i):
         while parent[i] != i:
@@ -106,45 +108,19 @@ def meet(p: Partition, q: Partition) -> Partition:
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for part in (p, q):
+    for part in (p, *rest):
         for b in part.blocks:
             for i in b[1:]:
-                union(b[0], i)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return Partition(p.ground, groups.values())
+                parent[find(i)] = find(b[0])  # union the two roots
+    return Partition.from_labels(p.ground, find)
 
 
-def join(p: Partition, q: Partition) -> Partition:
-    """Coarsest common refinement: nonempty pairwise block intersections."""
-    _check_ground(p, q)
-    pi, qi = p.block_index(), q.block_index()
-    groups: dict = {}
-    for i in range(len(p.ground)):
-        groups.setdefault((pi[i], qi[i]), []).append(i)
-    return Partition(p.ground, groups.values())
-
-
-def meet_all(parts) -> Partition:
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = meet(out, p)
-    return out
-
-
-def join_all(parts) -> Partition:
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = join(out, p)
-    return out
+def join(p: Partition, *rest: Partition) -> Partition:
+    """Coarsest common refinement of any number of partitions: nonempty
+    intersections of one block from each."""
+    _check_ground(p, *rest)
+    index = np.stack([q.block_index() for q in (p, *rest)], axis=1)
+    return Partition.from_labels(p.ground, lambda i: tuple(index[i]))
 
 
 @dataclass(frozen=True)
@@ -175,31 +151,44 @@ def precedence_graph(problem: TeamProblem) -> PrecedenceGraph:
     return PrecedenceGraph(n, edges)
 
 
-def sigma_field_of(problem: TeamProblem, dm: int) -> Partition:
-    """Partition of the exogenous space induced by DM ``dm``'s measurement.
-
-    Requires the measurement to be action-independent with point-mass
-    rows; otherwise NonDeterministicMeasurement is raised.
-    """
+def _static_rows(problem: TeamProblem, dm: int) -> np.ndarray:
+    """DM ``dm``'s kernel as an (|Omega|, |Y_dm|) table.  Raises
+    StaticRequired, naming the first dependency, when an earlier action
+    changes it."""
     n = problem.n_dms
     if not (1 <= dm <= n):
         raise ValidationError(f"dm index {dm} out of range 1..{n}")
-    table = problem.kernels[dm - 1].table
-    for ax in range(1, table.ndim - 1):
-        sl = table.take([0], axis=ax)
-        if not np.array_equal(table, np.broadcast_to(sl, table.shape)):
-            raise NonDeterministicMeasurement(
-                f"DM {dm}'s measurement depends on u{ax}"
-            )
-    rows = table.reshape(table.shape[0], -1, table.shape[-1])[:, 0, :]
-    argmax = rows.argmax(axis=1)
-    if np.any(rows[np.arange(rows.shape[0]), argmax] < 1.0 - EQ_TOL):
-        w = int(np.argmax(rows.max(axis=1) < 1.0 - EQ_TOL))
+    for k in range(1, dm):
+        if affects(problem, k, dm):
+            raise StaticRequired(f"DM {dm}'s measurement depends on u{k}")
+    # constant along the action axes, so any index there reads the row
+    return problem.kernels[dm - 1].table[(slice(None),) + (0,) * (dm - 1)]
+
+
+def _observation(problem: TeamProblem, dm: int) -> np.ndarray:
+    """The measurement index each exogenous point produces.  Raises
+    NonDeterministicMeasurement unless every row is a point mass."""
+    rows = _static_rows(problem, dm)
+    y = rows.argmax(axis=1)
+    spread = rows[np.arange(len(y)), y] < 1.0 - EQ_TOL
+    if spread.any():
+        w = int(np.argmax(spread))
         raise NonDeterministicMeasurement(
             f"DM {dm}'s row at omega0={problem.omega0.points[w]!r} "
             f"is not a point mass"
         )
-    return Partition.from_labels(problem.omega0, lambda i: int(argmax[i]))
+    return y
+
+
+def sigma_field_of(problem: TeamProblem, dm: int) -> Partition:
+    """Partition of the exogenous space induced by DM ``dm``'s measurement.
+
+    Requires an action-independent measurement (StaticRequired
+    otherwise) with point-mass rows (NonDeterministicMeasurement
+    otherwise).
+    """
+    y = _observation(problem, dm)
+    return Partition.from_labels(problem.omega0, lambda i: int(y[i]))
 
 
 def information_nested(problem: TeamProblem, k: int, i: int) -> bool:

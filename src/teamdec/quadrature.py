@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ValidationError
+from .constants import TABLE_CAP
+from .errors import CapExceeded, ValidationError
 from .model import (
     CostTable,
     DeterministicProfile,
@@ -42,6 +43,8 @@ def gauss_hermite(n: int, sigma: float = 1.0) -> tuple:
         raise ValidationError(f"quadrature needs at least one node, got {n}")
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
+    if n * n > TABLE_CAP:  # hermgauss builds an n x n companion matrix
+        raise CapExceeded(n * n, TABLE_CAP)
     x, w = hermgauss(n)
     return x * np.sqrt(2.0) * sigma, w / np.sqrt(np.pi)
 
@@ -70,6 +73,10 @@ class QuadratureSpec:
                 raise ValidationError(f"quadrature spec {name} must be a positive int")
         if self.u_range_sigmas <= 0 or self.y2_pad < 0:
             raise ValidationError("quadrature spec ranges must be positive")
+        # the cost table and DM 2's kernel of the discretization
+        cells = self.y1_nodes * self.u1_points * max(self.u2_points, self.y2_points)
+        if cells > TABLE_CAP:
+            raise CapExceeded(cells, TABLE_CAP)
 
 
 # A small instance whose materialized static reduction stays within the

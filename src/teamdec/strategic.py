@@ -28,10 +28,9 @@ from .errors import (
     CapExceeded,
     NonMember,
     NotClassical,
-    StaticRequired,
     ValidationError,
 )
-from .infostruct import nested_along_order, precedence_graph
+from .infostruct import _static_rows, nested_along_order
 from .model import (
     DeterministicProfile,
     RandomizedProfile,
@@ -225,26 +224,18 @@ def check_membership_LA(measure: StrategicMeasure) -> MembershipVerdict:
 
 def check_membership_LM(measure: StrategicMeasure) -> bool:
     """Membership in the conditional-independence relaxation, defined for
-    static problems: the (omega0, measurements) marginal must match the
-    problem's, and each DM's action given all measurements must depend
-    on its own measurement only.
+    static problems (StaticRequired otherwise): the (omega0,
+    measurements) marginal must match the problem's, and each DM's
+    action given all measurements must depend on its own measurement
+    only.
     """
     problem, j = measure.problem, measure.joint
-    if precedence_graph(problem).edges:
-        raise StaticRequired("the conditional-independence class is defined "
-                             "for static problems")
     n = problem.n_dms
-
-    u_axes = tuple(2 * k for k in range(1, n + 1))
-    marg_y = j.sum(axis=u_axes)  # (omega, y1..yN)
     operands = [problem.prior.mass, [0]]
     for k in range(1, n + 1):
-        kern = problem.kernels[k - 1].table
-        # static kernels may still carry action axes; they are constant
-        # along them, so take index 0
-        rows = kern.reshape(kern.shape[0], -1, kern.shape[-1])[:, 0, :]
-        operands += [rows, [0, k]]
+        operands += [_static_rows(problem, k), [0, k]]
     ref = np.einsum(*operands, list(range(n + 1)))
+    marg_y = j.sum(axis=tuple(2 * k for k in range(1, n + 1)))  # (omega, y1..yN)
     if np.max(np.abs(marg_y - ref)) > EQ_TOL:
         return False
 
@@ -301,6 +292,8 @@ def _pairs_across_dms(problem: TeamProblem, count: int):
     (|U_1|^|Y_1|, ..., |U_N|^|Y_N|), DM 1 most significant, which is the
     order of ``solvers._profile_maps``."""
     radices = [len(u) ** len(y) for y, u in zip(problem.y_spaces, problem.u_spaces)]
+    if sum(r > 1 for r in radices) < 2:
+        return  # no two profiles differ in two DMs' maps
     ranks = np.stack(np.unravel_index(np.arange(count), radices), axis=1)
     for a in range(count):
         across = np.flatnonzero((ranks[a + 1:] != ranks[a]).sum(axis=1) >= 2)

@@ -292,3 +292,56 @@ def sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega=2):
         kernels,
         CostTable(rng.uniform(0.0, 1.0, size=(n_omega,) + tuple(u_sizes))),
     )
+
+
+def deterministic_team(seed, n_omega, dms, zero_prior):
+    """A static team whose DM k observes a random function of omega: its
+    kernel is a one-hot row per exogenous point, repeated over earlier
+    actions.  ``dms`` lists (|Y_k|, |U_k|); with ``zero_prior`` some
+    exogenous points carry no prior mass (never all of them).  Actions
+    lie on the integer grid 0..|U_k|-1."""
+    rng = np.random.default_rng(seed)
+    omega = FiniteSpace("w", list(range(n_omega)))
+    mass = rng.uniform(0.1, 1.0, size=n_omega)
+    if zero_prior:
+        mass[rng.uniform(size=n_omega) < 0.4] = 0.0
+        mass[rng.integers(n_omega)] = 1.0
+    u_sizes = [nu for _, nu in dms]
+    kernels = []
+    for k, (ny, _) in enumerate(dms):
+        rows = np.eye(ny)[rng.integers(ny, size=n_omega)]
+        hist = (n_omega,) + tuple(u_sizes[:k])
+        table = np.broadcast_to(rows.reshape((n_omega,) + (1,) * k + (ny,)), hist + (ny,))
+        kernels.append(MeasurementKernel(k + 1, table.copy()))
+    return TeamProblem(
+        omega,
+        Pmf(omega, mass / mass.sum()),
+        [FiniteSpace(f"y{k + 1}", list(range(ny))) for k, (ny, _) in enumerate(dms)],
+        [FiniteSpace(f"u{k + 1}", [float(v) for v in range(nu)])
+         for k, nu in enumerate(u_sizes)],
+        kernels,
+        CostTable(rng.uniform(0.0, 1.0, size=(n_omega,) + tuple(u_sizes))),
+    )
+
+
+def replay_maps_literal(problem, block, ua, ub):
+    """The two profiles a cell witness replays to, one measurement at a
+    time: DM k plays action index ua[k] (ub[k]) at measurement y when the
+    positive-prior points whose row puts its mass on y are nonempty and
+    all lie in ``block``, and action 0 elsewhere."""
+    maps_a, maps_b = [], []
+    for k in range(problem.n_dms):
+        table = problem.kernels[k].table
+        map_a = np.zeros(len(problem.y_spaces[k]), dtype=int)
+        map_b = np.zeros(len(problem.y_spaces[k]), dtype=int)
+        for y in range(len(map_a)):
+            pre = {
+                w
+                for w in range(len(problem.omega0))
+                if problem.prior.mass[w] > 0 and table[(w,) + (0,) * k + (y,)] == 1.0
+            }
+            if pre and pre <= set(block):
+                map_a[y], map_b[y] = ua[k], ub[k]
+        maps_a.append(map_a)
+        maps_b.append(map_b)
+    return maps_a, maps_b

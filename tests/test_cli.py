@@ -605,6 +605,12 @@ def test_gallery_signaling_default_search(capsys):
     assert report["n_inits"] == 7
     assert report["matches"] == (report["gap"] <= report["tolerance"])
 
+    # 20000 * 129 * 129 cells: refused before any quadrature node is computed
+    for name in ("signaling", "witsenhausen"):
+        code, report = run_cli(capsys, "gallery", name, "--nodes", "20000")
+        assert code == 1
+        assert report["error"]["type"] == "CapExceeded"
+
 
 def test_gallery_square_wave(capsys):
     code, report = run_cli(capsys, "gallery", "square-wave", "--n", "4", "--seed", "5")

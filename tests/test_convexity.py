@@ -16,7 +16,7 @@ from teamdec.errors import (
     StaticRequired,
     ValidationError,
 )
-from teamdec.infostruct import Partition
+from teamdec.infostruct import Partition, meet, sigma_field_of
 from teamdec.model import (
     CostTable,
     DeterministicProfile,
@@ -26,6 +26,7 @@ from teamdec.model import (
     TeamProblem,
 )
 from teamdec.convexity import (
+    CellWitness,
     GridViolation,
     VerdictKind,
     certify_team_convexity,
@@ -36,7 +37,13 @@ from teamdec.convexity import (
     replay_cell_witness,
 )
 
-from conftest import naive_expected_cost, random_team, sign_product_team
+from conftest import (
+    deterministic_team,
+    naive_expected_cost,
+    random_team,
+    replay_maps_literal,
+    sign_product_team,
+)
 
 
 def both_see_state_team(costs, omega_points, u_grid, prior=None):
@@ -332,6 +339,30 @@ def test_certify_is_inconclusive_when_no_candidate_pair_violates():
         "all positive-mass meet conditionals pass midpoint convexity",
         "no violation among 0 candidate profile pairs",
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_omega=st.integers(1, 6),
+    dms=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3),
+    zero_prior=st.booleans(),
+)
+def test_replay_matches_literal_preimage_loop(seed, n_omega, dms, zero_prior):
+    """On every meet block of a static deterministic team, with random
+    witness actions, replay plays exactly the profiles the literal
+    per-measurement preimage loop builds."""
+    team = deterministic_team(seed, n_omega, dms, zero_prior)
+    common = meet(*(sigma_field_of(team, k) for k in range(1, len(dms) + 1)))
+    rng = np.random.default_rng(seed)
+    for b, block in enumerate(common.blocks):
+        ua, ub = (rng.integers(0, [nu for _, nu in dms]) for _ in range(2))
+        labels = [tuple(u.points[i] for u, i in zip(team.u_spaces, a)) for a in (ua, ub)]
+        wit = CellWitness(b, block, labels[0], labels[1], labels[0], 0.5, 0.0, 0.0, 0.0)
+        rep = replay_cell_witness(team, wit)
+        maps_a, maps_b = replay_maps_literal(team, block, ua, ub)
+        for got, want in ((rep.profile_a, maps_a), (rep.profile_b, maps_b)):
+            assert [m.tolist() for m in got.actions] == [m.tolist() for m in want]
 
 
 def test_certify_preconditions():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from teamdec.errors import (
     GroundMismatch,
     NonDeterministicMeasurement,
+    StaticRequired,
     ValidationError,
 )
 from teamdec.infostruct import (
@@ -19,16 +20,21 @@ from teamdec.infostruct import (
     is_partially_nested,
     is_stochastically_decoupled,
     join,
-    join_all,
     meet,
-    meet_all,
     precedence_graph,
     sigma_field_of,
 )
 from teamdec.infostruct import test_conditional_independence as check_ci
 from teamdec.model import FiniteSpace, MeasurementKernel, TeamProblem
+from teamdec.strategic import check_membership_LM, induce_LA
 
-from conftest import classical_team, random_team, relay_team, sparse_team
+from conftest import (
+    classical_team,
+    random_profile,
+    random_team,
+    relay_team,
+    sparse_team,
+)
 
 
 def all_partitions(n):
@@ -108,15 +114,38 @@ def test_meet_join_algebra():
     assert (
         meet(meet(p, q), r).blocks
         == meet(p, meet(q, r)).blocks
-        == meet_all([p, q, r]).blocks
+        == meet(p, q, r).blocks
     )
     assert (
         join(join(p, q), r).blocks
         == join(p, join(q, r)).blocks
-        == join_all([p, q, r]).blocks
+        == join(p, q, r).blocks
     )
     assert p.refines(meet(p, q)) and q.refines(meet(p, q))
     assert join(p, q).refines(p) and join(p, q).refines(q)
+
+
+LATTICE5 = [Partition(FiniteSpace("g", list(range(5))), b) for b in all_partitions(5)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, len(LATTICE5) - 1), min_size=3, max_size=4))
+def test_n_ary_meet_join_match_folds_and_lattice_oracle(picks):
+    """meet and join of 3-4 partitions of a 5-point set equal the
+    pairwise folds and the finest common coarsening / coarsest common
+    refinement found by scanning all 52 partitions."""
+    parts = [LATTICE5[i] for i in picks]
+    m, j = meet(*parts), join(*parts)
+    fold_m, fold_j = parts[0], parts[0]
+    for p in parts[1:]:
+        fold_m, fold_j = meet(fold_m, p), join(fold_j, p)
+    assert m.blocks == fold_m.blocks and j.blocks == fold_j.blocks
+    coarser = [c for c in LATTICE5 if all(p.refines(c) for p in parts)]
+    finer = [c for c in LATTICE5 if all(c.refines(p) for p in parts)]
+    assert [c.blocks for c in coarser if all(c.refines(o) for o in coarser)] == [m.blocks]
+    assert [c.blocks for c in finer if all(o.refines(c) for o in finer)] == [j.blocks]
+    for p in parts:
+        assert meet(p).blocks == join(p).blocks == p.blocks
 
 
 def test_partition_ground_mismatch():
@@ -240,6 +269,29 @@ def test_sigma_field_requires_point_mass_kernels():
     team = random_team(2, dynamic=False)
     with pytest.raises(NonDeterministicMeasurement):
         sigma_field_of(team, 1)
+
+
+def test_static_only_calls_name_the_first_action_dependency():
+    """sigma_field_of and check_membership_LM need measurements that no
+    earlier action changes, and name the first one that does."""
+    dyn = random_team(1, dynamic=True)
+    with pytest.raises(StaticRequired, match=r"^DM 2's measurement depends on u1$"):
+        sigma_field_of(dyn, 2)
+    with pytest.raises(StaticRequired, match=r"^DM 2's measurement depends on u1$"):
+        check_membership_LM(induce_LA(dyn, random_profile(dyn, 1)))
+    dyn3 = random_team(2, y_sizes=(2, 2, 2), u_sizes=(2, 2, 2), dynamic=True)
+    with pytest.raises(StaticRequired, match=r"^DM 3's measurement depends on u1$"):
+        sigma_field_of(dyn3, 3)
+    # DM 2 is static; DM 3 sees u2 but not u1
+    base = random_team(3, y_sizes=(2, 2, 2), u_sizes=(2, 2, 2))
+    rows = np.random.default_rng(3).dirichlet(np.ones(2), size=(3, 1, 2))
+    k3 = MeasurementKernel(3, np.broadcast_to(rows, (3, 2, 2, 2)).copy())
+    team = TeamProblem(base.omega0, base.prior, base.y_spaces, base.u_spaces,
+                       list(base.kernels[:2]) + [k3], base.cost)
+    with pytest.raises(StaticRequired, match=r"^DM 3's measurement depends on u2$"):
+        sigma_field_of(team, 3)
+    with pytest.raises(StaticRequired, match=r"^DM 3's measurement depends on u2$"):
+        check_membership_LM(induce_LA(team, random_profile(team, 0)))
 
 
 def test_sigma_field_partitions_by_measurement_preimage():

@@ -5,7 +5,8 @@ Carlo, discretization structure, and the LQ team's moment identities."""
 import numpy as np
 import pytest
 
-from teamdec.errors import ValidationError
+from teamdec.constants import TABLE_CAP
+from teamdec.errors import CapExceeded, ValidationError
 from teamdec.model import expected_cost, validate
 from teamdec.quadrature import (
     CERTIFY_SPEC,
@@ -202,6 +203,21 @@ def test_quadrature_spec_validation():
         TwoStageGaussianTeam.build("other", 0.2, 5.0)
     with pytest.raises(ValidationError):
         TwoStageGaussianTeam.build("witsenhausen", -0.2, 5.0)
+
+
+def test_quadrature_sizes_are_capped_before_any_node_is_computed():
+    # the cost table and DM 2's kernel hold y1_nodes * 129 * 129 cells each
+    assert QuadratureSpec(y1_nodes=1201, w_nodes=1201).y1_nodes == 1201
+    with pytest.raises(CapExceeded) as err:
+        QuadratureSpec(y1_nodes=1202)
+    assert (err.value.count, err.value.cap) == (20002482, TABLE_CAP)
+    with pytest.raises(CapExceeded) as err:
+        QuadratureSpec(y1_nodes=2, u1_points=10**4, y2_points=10**4)
+    assert (err.value.count, err.value.cap) == (2 * 10**8, TABLE_CAP)
+    # hermgauss builds an n x n companion matrix
+    with pytest.raises(CapExceeded) as err:
+        gauss_hermite(4473)
+    assert (err.value.count, err.value.cap) == (20007729, TABLE_CAP)
 
 
 def lq_closed_form_cost(team, theta):

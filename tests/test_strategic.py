@@ -593,11 +593,15 @@ def test_witness_search_induces_only_the_profiles_it_mixes(monkeypatch):
     # the last team's first witness, (0, 3), mixes 2 of its 32 profiles
     assert 0 < len(induced) <= 2
 
-    # one DM: every pair varies one map only, so nothing is mixed or induced
-    induced.clear()
-    solo = random_team(7, y_sizes=(2,), u_sizes=(3,))
-    assert find_nonconvexity_witness(solo) is None
-    assert induced == []
+    # one DM: every pair varies one map only, so nothing is mixed or induced,
+    # and the 2^16 profiles of a 16-measurement team are not walked pair by pair
+    for solo in (
+        random_team(7, y_sizes=(2,), u_sizes=(3,)),
+        random_team(7, n_omega=1, y_sizes=(16,), u_sizes=(2,)),
+    ):
+        induced.clear()
+        assert find_nonconvexity_witness(solo) is None
+        assert induced == []
 
     # oversized: the caps refuse before any joint is induced
     team = random_team(8, n_omega=2, y_sizes=(2, 3), u_sizes=(3, 2))
