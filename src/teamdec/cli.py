@@ -34,15 +34,18 @@ from .gallery import (
 from .infostruct import classify, precedence_graph, information_nested
 from .model import (
     DeterministicProfile,
-    Pmf,
     TeamProblem,
     validate,
 )
 from .probio import (
     ProblemFile,
+    json_text,
     load_measure,
     load_problem,
+    load_references,
+    mass_map,
     problem_to_dict,
+    read_json,
 )
 from .quadrature import QuadratureSpec, snap_profile
 from .reduction import static_reduce, verify_equivalence
@@ -68,46 +71,28 @@ class InvalidInput(ValidationError):
 
 
 def to_jsonable(obj):
-    """Deterministic JSON form: numpy -> python, tuples -> lists,
-    Fractions -> strings, enums -> values, dataclasses -> dicts."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating,)):
+    """json's ``default`` hook for what it cannot encode itself: numpy ->
+    python, Fractions -> strings, enums -> values, dataclasses -> dicts
+    of their fields, anything else -> its string."""
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return str(obj)
 
 
 def profile_fields(problem: TeamProblem, profile: DeterministicProfile) -> dict:
-    out = []
-    for d, a in enumerate(profile.actions):
-        out.append(
-            {
-                str(problem.y_spaces[d].points[y]): str(
-                    problem.u_spaces[d].points[a[y]]
-                )
-                for y in range(len(a))
-            }
-        )
-    return {"actions_by_measurement": out, "action_indices": [list(map(int, a)) for a in profile.actions]}
+    spaces = zip(problem.y_spaces, problem.u_spaces, profile.actions)
+    out = [{str(y): str(u.points[i]) for y, i in zip(ys.points, a)} for ys, u, a in spaces]
+    return {"actions_by_measurement": out, "action_indices": profile.actions}
 
 
 def _equivalence(reduction, profiles: list) -> dict:
@@ -144,10 +129,7 @@ def cmd_validate(args) -> dict:
     return {
         "input_digest": pf.digest,
         "is_valid": not violations,
-        "violations": [
-            {"code": v.code, "where": v.where, "message": v.message}
-            for v in violations
-        ],
+        "violations": violations,
     }
 
 
@@ -158,7 +140,7 @@ def cmd_classify(args) -> dict:
     return {
         "input_digest": pf.digest,
         "is_class": classify(pf.problem).value,
-        "precedence_edges": [list(e) for e in edges],
+        "precedence_edges": edges,
         "edge_nested": {
             f"{k}->{i}": information_nested(pf.problem, k, i) for (k, i) in edges
         },
@@ -170,39 +152,11 @@ def cmd_reduce(args) -> dict:
     problem = pf.problem
     references = None
     if args.reference != "uniform":
-        with open(args.reference, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
-        if not isinstance(doc, list) or len(doc) != problem.n_dms:
-            raise ValidationError(
-                f"reference file must hold a list of {problem.n_dms} mass maps"
-            )
-        references = []
-        for d, entry in enumerate(doc):
-            labels = [str(p) for p in problem.y_spaces[d].points]
-            if not (
-                isinstance(entry, dict)
-                and set(entry) <= set(labels)
-                and all(isinstance(v, (int, float)) for v in entry.values())
-            ):
-                raise ValidationError(
-                    f"reference for DM {d + 1} must map points of "
-                    f"{problem.y_spaces[d].name!r} to masses, got {entry!r}"
-                )
-            mass = np.zeros(len(labels))
-            for key, v in entry.items():
-                mass[labels.index(key)] = float(v)
-            references.append(Pmf(problem.y_spaces[d], mass))
+        references = load_references(problem, args.reference)
     reduction = static_reduce(problem, references)
     report = {
         "input_digest": pf.digest,
-        "references": [
-            {
-                str(p): float(m)
-                for p, m in zip(ref.space.points, ref.mass)
-                if m != 0.0
-            }
-            for ref in reduction.references
-        ],
+        "references": [mass_map(ref) for ref in reduction.references],
         "equivalence": _equivalence(
             reduction, seeded_profiles(problem, args.seed, 5)
         ),
@@ -244,8 +198,7 @@ def cmd_solve(args) -> dict:
         if args.init.lstrip().startswith("{"):
             doc = json.loads(args.init)
         else:
-            with open(args.init, "rb") as fh:
-                doc = json.loads(fh.read().decode("utf-8"))
+            doc = read_json(args.init)[0]
         actions = doc.get("actions") if isinstance(doc, dict) else None
         if not isinstance(actions, list) or not all(
             isinstance(a, list) and all(type(v) is int for v in a) for a in actions
@@ -276,9 +229,9 @@ def cmd_certify(args) -> dict:
         "notes": list(verdict.notes),
     }
     if verdict.certificate is not None:
-        report["certificate"] = [to_jsonable(r) for r in verdict.certificate]
+        report["certificate"] = verdict.certificate
     if verdict.cell_witness is not None:
-        report["cell_witness"] = to_jsonable(verdict.cell_witness)
+        report["cell_witness"] = verdict.cell_witness
     if verdict.policy_witness is not None:
         w = verdict.policy_witness
         report["policy_witness"] = {
@@ -315,7 +268,7 @@ def cmd_strategic(args) -> dict:
         for name, checker in (("LR", check_membership_LR), ("LA", check_membership_LA)):
             verdict = checker(measure)
             out[f"member_{name}"] = verdict.member
-            out[f"failures_{name}"] = [to_jsonable(f) for f in verdict.failures]
+            out[f"failures_{name}"] = verdict.failures
         if not precedence_graph(problem).edges:
             out["member_LM"] = check_membership_LM(measure)
         return out
@@ -328,7 +281,7 @@ def cmd_strategic(args) -> dict:
         "index_a": witness.index_a,
         "index_b": witness.index_b,
         "lam": witness.lam,
-        "midpoint_failures": [to_jsonable(f) for f in witness.verdict.failures],
+        "midpoint_failures": witness.verdict.failures,
     }
 
 
@@ -354,8 +307,8 @@ def cmd_gallery(args) -> dict:
             if verdict.policy_witness is not None:
                 report["violation"] = verdict.policy_witness.violation
         elif check == "analytic-pair":
-            report["encoder_flip"] = to_jsonable(bundle.encoder_flip_report())
-            report["negation_bound"] = to_jsonable(bundle.negation_bound())
+            report["encoder_flip"] = bundle.encoder_flip_report()
+            report["negation_bound"] = bundle.negation_bound()
         elif check == "equivalence":
             aff = bundle.affine_optimum()
             g, c = aff.gain, bundle.team.affine_decoder_gain(aff.gain)
@@ -389,7 +342,7 @@ def cmd_gallery(args) -> dict:
         fam = square_wave(args.n)
         return {
             "n": fam.n,
-            "intervals": [to_jsonable(r) for r in fam.diagnostics()],
+            "intervals": fam.diagnostics(),
             "member_ci": fam.member_ci(),
             "limit_ci": fam.limit_ci(),
         }
@@ -497,8 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json_text(report, default=to_jsonable)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -539,16 +495,12 @@ def _error_report(e: Exception) -> tuple:
         message = str(e)
     error = {"type": kind or type(e).__name__, "message": message}
     if isinstance(e, InvalidInput):
-        error["violations"] = [
-            {"code": v.code, "where": v.where, "message": v.message}
-            for v in e.violations
-        ]
+        error["violations"] = e.violations
     return error, code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     report = _base_report(args)
     try:
         for name in ("cap", "limit"):

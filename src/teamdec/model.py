@@ -363,7 +363,7 @@ def validate(problem: TeamProblem) -> list:
                     "kernel-row",
                     (k,) + idx,
                     f"DM {k} kernel row at history {labels!r} sums to "
-                    f"{sums[b]!r} or has invalid entries",
+                    f"{float(sums[b])!r} or has invalid entries",
                 )
             )
     c = problem.cost.table
@@ -371,10 +371,8 @@ def validate(problem: TeamProblem) -> list:
         where = np.unravel_index(int(np.argmax(~np.isfinite(c))), c.shape)
         out.append(Violation("cost-nonfinite", where, "cost has a non-finite entry"))
     elif np.any(c < 0):
-        where = np.unravel_index(int(np.argmax(c < 0)), c.shape)
-        out.append(
-            Violation("cost-negative", where, f"cost is negative at {where}")
-        )
+        where = tuple(map(int, np.unravel_index(int(np.argmax(c < 0)), c.shape)))
+        out.append(Violation("cost-negative", where, f"cost is negative at {where}"))
     return out
 
 

@@ -22,7 +22,8 @@ splits a section's keys at once and fills each table with one index
 assignment.  A malformed entry (a key with the wrong number of parts or
 an unknown label, a value ``float`` rejects, a section or kernel row
 that is not an object) raises ValidationError naming the first
-offending key in document order.
+offending key in document order.  A reference file is a list of one
+measurement mass map per DM, each read and written like the prior.
 """
 
 from __future__ import annotations
@@ -256,6 +257,11 @@ def _nonzero(label_lists: list, table: np.ndarray) -> dict:
     return dict(zip(_keys(label_lists, keep.tolist()), flat[keep].tolist()))
 
 
+def mass_map(pmf: Pmf) -> dict:
+    """A pmf as a prior is written: {point label: mass} of its nonzero masses."""
+    return _nonzero([[str(p) for p in pmf.space.points]], pmf.mass)
+
+
 def _check_labels(problem: TeamProblem) -> None:
     """Raise ValidationError for the first point, in omega0, then the
     measurement spaces, then the action spaces, whose string form holds
@@ -287,7 +293,7 @@ def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
             "measurements": [space_dict(s) for s in problem.y_spaces],
             "actions": [space_dict(s) for s in problem.u_spaces],
         },
-        "prior": _nonzero(history[:1], problem.prior.mass),
+        "prior": mass_map(problem.prior),
         "kernels": [kernel_dict(k) for k in range(1, problem.n_dms + 1)],
         "cost": _nonzero(history, problem.cost.table),
     }
@@ -314,10 +320,21 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def load_problem(path: str) -> ProblemFile:
+def read_json(path: str) -> tuple:
+    """The JSON document in the UTF-8 file at ``path``, and its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = json.loads(data.decode("utf-8"))
+    return json.loads(data.decode("utf-8")), data
+
+
+def json_text(doc, default=None) -> str:
+    """The text of every written document and report: sorted keys,
+    two-space indent, a final newline; ``default`` is json's hook."""
+    return json.dumps(doc, default=default, sort_keys=True, indent=2) + "\n"
+
+
+def load_problem(path: str) -> ProblemFile:
+    doc, data = read_json(path)
     problem = problem_from_dict(doc)
     annotation = annotation_from_dict(doc)
     if annotation is not None:
@@ -326,10 +343,8 @@ def load_problem(path: str) -> ProblemFile:
 
 
 def save_problem(problem: TeamProblem, path: str, annotation=None) -> None:
-    doc = problem_to_dict(problem, annotation)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(problem_to_dict(problem, annotation)))
 
 
 # -- strategic measures -----------------------------------------------------
@@ -352,6 +367,26 @@ def measure_from_dict(problem: TeamProblem, doc: dict) -> StrategicMeasure:
 
 
 def load_measure(problem: TeamProblem, path: str) -> StrategicMeasure:
-    with open(path, "rb") as fh:
-        doc = json.loads(fh.read().decode("utf-8"))
-    return measure_from_dict(problem, doc)
+    return measure_from_dict(problem, read_json(path)[0])
+
+
+# -- reference measures -----------------------------------------------------
+
+
+def load_references(problem: TeamProblem, path: str) -> list:
+    """One reference Pmf per DM from a JSON list of measurement mass
+    maps, each read like a prior."""
+    doc = read_json(path)[0]
+    n = problem.n_dms
+    if not isinstance(doc, list) or len(doc) != n:
+        raise ValidationError(f"reference file must hold a list of {n} mass maps")
+    refs = []
+    for d, (space, entry) in enumerate(zip(problem.y_spaces, doc)):
+        where = f"reference for DM {d + 1}"
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"{where} must map points of {space.name!r} to masses, got {entry!r}"
+            )
+        mass = _table(entry, [_label_map(space)], where, where, [("measurement", "")])
+        refs.append(Pmf(space, mass))
+    return refs

@@ -45,7 +45,10 @@ def gauss_hermite(n: int, sigma: float = 1.0) -> tuple:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if n * n > TABLE_CAP:  # hermgauss builds an n x n companion matrix
         raise CapExceeded(n * n, TABLE_CAP)
-    x, w = hermgauss(n)
+    with np.errstate(all="ignore"):  # numpy 2.4: the weights underflow from 371 nodes on
+        x, w = hermgauss(n)
+    if not (np.isfinite(w).all() and w.sum() > 0):
+        raise ValidationError(f"Gauss-Hermite weights for {n} nodes underflow; use fewer nodes")
     return x * np.sqrt(2.0) * sigma, w / np.sqrt(np.pi)
 
 

@@ -212,11 +212,9 @@ def static_reduce(
             where=np.broadcast_to(q, table.shape) > 0,
         )
         norm = (f * q).sum(axis=-1)
-        dev = np.abs(norm[pos_prior] - 1.0).max(initial=0.0)
+        dev = float(np.abs(norm[pos_prior] - 1.0).max(initial=0.0))
         if dev > EQ_TOL:
-            raise ValidationError(
-                f"DM {t} weight normalization off by {dev!r}"
-            )
+            raise ValidationError(f"DM {t} weight normalization off by {dev!r}")
         f.setflags(write=False)
         weights.append(f)
     return StaticReduction(problem, tuple(refs), tuple(weights))

@@ -1,6 +1,9 @@
 """Shared builders for seeded random team instances."""
 
+import dataclasses
 import itertools
+from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -345,3 +348,34 @@ def replay_maps_literal(problem, block, ua, ub):
         maps_a.append(map_a)
         maps_b.append(map_b)
     return maps_a, maps_b
+
+
+def to_jsonable_literal(obj):
+    """The report tree, converted in one recursive copy before encoding:
+    numpy -> python, tuples -> lists, Fractions -> strings, enums ->
+    values, dataclasses -> dicts, dict keys -> strings, anything else ->
+    its string."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return obj
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable_literal(x) for x in obj.tolist()]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable_literal(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable_literal(x) for x in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: to_jsonable_literal(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    return str(obj)

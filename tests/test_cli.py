@@ -5,15 +5,27 @@ shape, determinism of emitted bytes, and agreement between subcommands
 that compute the same quantity along different paths.
 """
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from teamdec import strategic
+import teamdec
+from teamdec import cli, strategic
 from teamdec.cli import main
-from teamdec.convexity import policy_midpoint_test
+from teamdec.convexity import (
+    BlockRecord,
+    CellWitness,
+    VerdictKind,
+    policy_midpoint_test,
+)
+from teamdec.gallery import EncoderFlipReport, IntervalRecord, NegationBoundReport
 from teamdec.model import (
     CostTable,
     DeterministicProfile,
@@ -21,10 +33,11 @@ from teamdec.model import (
     MeasurementKernel,
     Pmf,
     TeamProblem,
+    Violation,
 )
-from teamdec.probio import load_problem, measure_to_dict, save_problem
+from teamdec.probio import load_problem, measure_to_dict, problem_to_dict, save_problem
 from teamdec.solvers import pbp_iterate
-from teamdec.strategic import induce_LA, mix
+from teamdec.strategic import FailureRecord, induce_LA, mix
 
 from conftest import (
     enumerate_profiles_literal,
@@ -33,6 +46,7 @@ from conftest import (
     random_team,
     relay_team,
     sign_product_team,
+    to_jsonable_literal,
 )
 
 
@@ -321,6 +335,52 @@ def test_out_flag_writes_deterministic_bytes(tmp_path, capsys):
     assert json.loads(out1.read_text())["method"] == "brute"
 
 
+def test_report_bytes_match_the_recursive_encoder(tmp_path):
+    report = {
+        "failures": (
+            FailureRecord(2, "policy", ((0, "a"), (1.5, (2, "b")), "y"), np.float64(0.25)),
+            FailureRecord(0, "prior", ("w",), 1e-3),
+        ),
+        "certificate": (
+            BlockRecord(np.intp(0), np.float64(0.5), 0.125, True, np.int64(9)),
+        ),
+        "cell_witness": CellWitness(
+            1, (("x", 2), 3.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5),
+            0.5, np.float64(2.5), 2.0, 0.5,
+        ),
+        "intervals": [
+            IntervalRecord(
+                Fraction(0), Fraction(1, 3), Fraction(1, 6), Fraction(1, 4),
+                Fraction(-1, 12), Fraction(1, 10), True,
+            )
+        ],
+        "encoder_flip": EncoderFlipReport(1.0, 1.0, 1.5, 1.0, 0.5, 0.04, 0.5),
+        "negation_bound": NegationBoundReport(2.0, 2.0, 2.0, 1.0, np.float64(1.0)),
+        "violations": [
+            Violation("kernel-row", (1,) + np.unravel_index(3, (2, 2)), "row"),
+            Violation("cost-negative", tuple(np.intp([0, 1, 0])), "neg"),
+        ],
+        "verdict": VerdictKind.NOT_CONVEX,
+        "scalars": [np.bool_(True), np.float32(0.1), np.int64(-7), np.float64("nan")],
+        "arrays": {"ints": np.arange(3), "grid": np.eye(2), "flags": np.array([True, False])},
+        "nested": {"empty": (), "none": None, "inf": float("inf")},
+    }
+    out = tmp_path / "report.json"
+    cli._emit(report, argparse.Namespace(out=str(out)))
+    want = json.dumps(to_jsonable_literal(report), sort_keys=True, indent=2) + "\n"
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, report = run_cli(capsys, "gallery", "decoupled")
+    assert code == 0
+    assert report["coupled"] is False
+
+
 # --------------------------------------------------------------------------
 # reduce
 # --------------------------------------------------------------------------
@@ -373,6 +433,26 @@ def test_reduce_dynamic_team_reports_equivalence(tmp_path, capsys):
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
         assert all(name in report["error"]["message"] for name in names)
+
+
+def test_reduce_reads_reference_masses_like_a_prior(tmp_path, capsys):
+    problem = random_team(4, dynamic=True)
+    path = write_team(tmp_path, "team.json", problem)
+    refs_path = tmp_path / "refs.json"
+    # numeric strings load as floats, as they do in problem files
+    refs_path.write_text(json.dumps([{"0": "0.25", "1": "0.75"}, {"0": 0.5, "1": "5e-1"}]))
+    code, report = run_cli(capsys, "reduce", path, "--reference", str(refs_path))
+    assert code == 0
+    assert report["equivalence"]["equivalent"] is True
+    for d, mass in enumerate(([0.25, 0.75], [0.5, 0.5])):
+        y = problem.y_spaces[d]
+        u = FiniteSpace("u", [0])
+        alone = TeamProblem(
+            y, Pmf(y, mass), [y], [u], [MeasurementKernel(1, np.eye(len(y)))],
+            CostTable(np.zeros((len(y), 1))),
+        )
+        assert report["references"][d] == problem_to_dict(alone)["prior"]
+    assert report["references"][0] == {"0": 0.25, "1": 0.75}
 
 
 def test_reduce_cap_skips_materialization(tmp_path, capsys):
@@ -610,6 +690,22 @@ def test_gallery_signaling_default_search(capsys):
         code, report = run_cli(capsys, "gallery", name, "--nodes", "20000")
         assert code == 1
         assert report["error"]["type"] == "CapExceeded"
+
+
+def test_gallery_nodes_past_the_quadrature_limit_name_the_node_count():
+    # hermgauss weights underflow from 371 nodes on (numpy 2.4): the
+    # report blames the node count, not the prior, and numpy stays quiet
+    src = os.path.dirname(os.path.dirname(teamdec.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "teamdec.cli", "gallery", "signaling",
+         "--nodes", "371", "--check", "zero-encoder"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 2
+    assert run.stderr == ""
+    error = json.loads(run.stdout)["error"]
+    assert error["type"] == "ValidationError"
+    assert "371 nodes" in error["message"] and "prior" not in error["message"]
 
 
 def test_gallery_square_wave(capsys):

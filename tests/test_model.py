@@ -189,3 +189,24 @@ def test_deterministic_profile_from_callables():
     )
     assert list(prof.actions[0]) == [1, 1]
     assert list(prof.actions[1]) == [0, 0]
+
+
+def test_validate_messages_print_plain_numbers():
+    team = random_team(2)
+    t = team.kernels[0].table.copy()
+    t[0] = [0.25, 0.25]
+    cost = team.cost.table.copy()
+    cost[0, 0, 0] = -1.0
+    prob = TeamProblem(
+        team.omega0,
+        team.prior,
+        team.y_spaces,
+        team.u_spaces,
+        [MeasurementKernel(1, t), team.kernels[1]],
+        CostTable(cost),
+    )
+    messages = [v.message for v in validate(prob)]
+    assert messages == [
+        "DM 1 kernel row at history (0,) sums to 0.5 or has invalid entries",
+        "cost is negative at (0, 0, 0)",
+    ]

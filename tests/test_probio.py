@@ -22,6 +22,7 @@ from teamdec.probio import (
     digest_bytes,
     load_measure,
     load_problem,
+    load_references,
     measure_from_dict,
     measure_to_dict,
     problem_from_dict,
@@ -464,3 +465,26 @@ def test_malformed_values_and_sections_are_validation_errors():
         measure_from_dict(problem, {"joint": {key: "x"}})
     with pytest.raises(ValidationError, match="measure section must be a JSON object"):
         measure_from_dict(problem, {"joint": [1.0]})
+
+
+def test_reference_mass_maps_load_like_a_prior(tmp_path):
+    problem = random_team(3, y_sizes=(3, 2))
+    path = tmp_path / "refs.json"
+    path.write_text(json.dumps([{"0": "0.25", "2": 0.75}, {"1": "1", "0": 0}]))
+    refs = load_references(problem, str(path))
+    assert [r.space for r in refs] == list(problem.y_spaces)
+    assert refs[0].mass.tolist() == [0.25, 0.0, 0.75]
+    assert refs[1].mass.tolist() == [0.0, 1.0]
+
+    for bad, message in (
+        ({"0": 1.0}, "reference file must hold a list of 2 mass maps"),
+        ([{"0": 1.0}], "reference file must hold a list of 2 mass maps"),
+        ([{"0": 1.0}, "x"], "reference for DM 2 must map points of 'y2' to masses, got 'x'"),
+        ([{"3": 1.0}, {"0": 1.0}], "reference for DM 1 names unknown measurement '3'"),
+        ([{"0": 1.0}, {"0": None}], "reference for DM 2 value None for '0' is not a number"),
+        ([{"0": "half"}, {"0": 1.0}], "reference for DM 1 value 'half' for '0' is not a number"),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValidationError) as err:
+            load_references(problem, str(path))
+        assert str(err.value) == message

@@ -220,6 +220,15 @@ def test_quadrature_sizes_are_capped_before_any_node_is_computed():
     assert (err.value.count, err.value.cap) == (20007729, TABLE_CAP)
 
 
+def test_gauss_hermite_refuses_node_counts_whose_weights_underflow():
+    x, w = gauss_hermite(370)
+    assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)
+    # numpy 2.4: the weights sum to 0 at 371 nodes and hold NaN from 372
+    for n in (371, 1201):
+        with pytest.raises(ValidationError, match=f"weights for {n} nodes underflow"):
+            gauss_hermite(n)
+
+
 def lq_closed_form_cost(team, theta):
     """E[(u1+u2-s)^2 + rho1 u1^2 + rho2 u2^2] for affine policies from
     the Gaussian moment structure: y_i = s + n_i with independent parts."""

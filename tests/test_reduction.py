@@ -215,3 +215,19 @@ def test_reduced_problem_respects_cap():
     team = random_team(7, dynamic=True)
     with pytest.raises(CapExceeded):
         static_reduce(team).reduced_problem(cap=5)
+
+
+def test_normalization_failure_prints_a_plain_number():
+    # a row that sums to 1 + 1e-10 passes validate (INPUT_MASS_TOL) but
+    # not the reduction's normalization check (EQ_TOL)
+    team = random_team(1, n_omega=1, y_sizes=(1, 1), dynamic=True)
+    t = team.kernels[1].table.copy()
+    t[0, 0, 0] = 1 + 1e-10
+    prob = TeamProblem(
+        team.omega0, team.prior, team.y_spaces, team.u_spaces,
+        [team.kernels[0], MeasurementKernel(2, t)], team.cost,
+    )
+    assert validate(prob) == []
+    with pytest.raises(ValidationError) as err:
+        static_reduce(prob)
+    assert str(err.value) == "DM 2 weight normalization off by 1.000000082740371e-10"
