@@ -59,7 +59,6 @@ from .solvers import (
 from .strategic import (
     check_membership_LA,
     check_membership_LM,
-    check_membership_LR,
     find_nonconvexity_witness,
 )
 
@@ -74,10 +73,8 @@ def to_jsonable(obj):
     """json's ``default`` hook for what it cannot encode itself: numpy ->
     python, Fractions -> strings, enums -> values, dataclasses -> dicts
     of their fields, anything else -> its string."""
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, Fraction):
@@ -264,11 +261,11 @@ def cmd_strategic(args) -> dict:
         if args.measure is None:
             raise ValidationError("strategic check requires --measure <file>")
         measure = load_measure(problem, args.measure)
-        out = {"input_digest": pf.digest}
-        for name, checker in (("LR", check_membership_LR), ("LA", check_membership_LA)):
-            verdict = checker(measure)
-            out[f"member_{name}"] = verdict.member
-            out[f"failures_{name}"] = verdict.failures
+        # LA's failures are LR's followed by its point-mass records
+        la = check_membership_LA(measure)
+        lr = tuple(f for f in la.failures if f.condition != "point-mass")
+        out = {"input_digest": pf.digest, "member_LR": not lr, "failures_LR": lr,
+               "member_LA": la.member, "failures_LA": la.failures}
         if not precedence_graph(problem).edges:
             out["member_LM"] = check_membership_LM(measure)
         return out

@@ -475,7 +475,7 @@ class Example1Bundle:
 
 
 def example1(step: float = 0.01) -> Example1Bundle:
-    if step <= 0 or step > 1:
+    if not 0 < step <= 1:
         raise ValidationError(f"step must be in (0, 1], got {step}")
     n_points = int(round(1.0 / step)) + 1
     if 3 * n_points * n_points > TABLE_CAP:  # the cost, shape (3, n, n)

@@ -41,8 +41,8 @@ def gauss_hermite(n: int, sigma: float = 1.0) -> tuple:
     """Nodes and weights integrating f against the N(0, sigma^2) law."""
     if n < 1:
         raise ValidationError(f"quadrature needs at least one node, got {n}")
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     if n * n > TABLE_CAP:  # hermgauss builds an n x n companion matrix
         raise CapExceeded(n * n, TABLE_CAP)
     with np.errstate(all="ignore"):  # numpy 2.4: the weights underflow from 371 nodes on
@@ -74,8 +74,11 @@ class QuadratureSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValidationError(f"quadrature spec {name} must be a positive int")
-        if self.u_range_sigmas <= 0 or self.y2_pad < 0:
-            raise ValidationError("quadrature spec ranges must be positive")
+        r, pad = self.u_range_sigmas, self.y2_pad
+        if not 0 < r < np.inf:
+            raise ValidationError(f"quadrature spec u_range_sigmas must be finite and > 0, got {r}")
+        if not 0 <= pad < np.inf:
+            raise ValidationError(f"quadrature spec y2_pad must be finite and >= 0, got {pad}")
         # the cost table and DM 2's kernel of the discretization
         cells = self.y1_nodes * self.u1_points * max(self.u2_points, self.y2_points)
         if cells > TABLE_CAP:
@@ -137,8 +140,9 @@ class TwoStageGaussianTeam:
     ) -> "TwoStageGaussianTeam":
         if kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-        if k <= 0 or sigma <= 0:
-            raise ValidationError("k and sigma must be positive")
+        for name, v in (("k", k), ("sigma", sigma)):
+            if not 0 < v < np.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {v}")
         yn, yw = gauss_hermite(n_y, sigma)
         wn, ww = gauss_hermite(n_w, 1.0)
         return TwoStageGaussianTeam(kind, k, sigma, yn, yw, wn, ww)

@@ -55,26 +55,23 @@ class SolveResult:
     n_profiles: int
 
 
-def _profile_maps(
-    y_spaces: Sequence, u_spaces: Sequence, count: int, start: int = 0, chunk: int = _CHUNK
-):
-    """The action maps of deterministic profiles ``start``..``count - 1``
+def _profile_maps(y_spaces: Sequence, u_spaces: Sequence, first: int, stop: int) -> list:
+    """The action maps of deterministic profiles ``first``..``stop - 1``
     over the DMs whose spaces are given, in lexicographic order: the
     first DM's map most significant and, within a map, the action for
     measurement index 0 most significant.  Passing the spaces of DMs
-    1..k walks the prefixes of length k.  Yields them ``chunk`` profiles
-    at a time, per DM an int array of shape (B, |Y_k|).  This is the one
-    walk over policy maps in the package."""
+    1..k walks the prefixes of length k.  Per DM an int array of shape
+    (stop - first, |Y_k|).  This is the one decoder of profile indices
+    in the package."""
     radices, bounds = [], [0]
     for y, u in zip(y_spaces, u_spaces):
         radices += [len(u)] * len(y)
         bounds.append(len(radices))
-    for first in range(start, count, chunk):
-        rest = np.arange(first, min(first + chunk, count))
-        digits = np.empty((rest.size, len(radices)), dtype=int)
-        for c in range(len(radices) - 1, -1, -1):
-            rest, digits[:, c] = np.divmod(rest, radices[c])
-        yield [digits[:, a:b] for a, b in zip(bounds, bounds[1:])]
+    rest = np.arange(first, stop)
+    digits = np.empty((rest.size, len(radices)), dtype=int)
+    for c in range(len(radices) - 1, -1, -1):
+        rest, digits[:, c] = np.divmod(rest, radices[c])
+    return [digits[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
@@ -99,7 +96,8 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
     spaces = problem.y_spaces[:-1], problem.u_spaces[:-1]
     cells = weights.shape[0] + sum(len(y) * len(u) for y, u in zip(*spaces))
     chunk = max(1, min(_CHUNK, _SCAN_CELLS // cells))
-    for maps in _profile_maps(*spaces, count, start, chunk):
+    for first in range(start, count, chunk):
+        maps = _profile_maps(*spaces, first, min(first + chunk, count))
         law = _forward_law(
             problem.prior.mass, kernels[:-1], [e[m] for e, m in zip(eyes, maps)]
         )
@@ -107,22 +105,18 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
         yield maps, table.reshape(-1, ny, nu)
 
 
-def _last_maps(problem: TeamProblem) -> int:
-    return len(problem.u_spaces[-1]) ** len(problem.y_spaces[-1])
-
-
 def profile_values(problem: TeamProblem, count: int) -> np.ndarray:
     """Expected costs of the first ``count`` profiles in lexicographic
     order, gathered from the prefix tables: a profile's cost is the sum
     over DM N's measurements of its prefix table at the action its last
     map picks."""
-    n_maps = _last_maps(problem)
     ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
-    digits = np.stack(
-        np.unravel_index(np.arange(min(count, n_maps)), (nu,) * ny), axis=1
+    n_maps = nu**ny
+    (last,) = _profile_maps(
+        problem.y_spaces[-1:], problem.u_spaces[-1:], 0, min(count, n_maps)
     )
     values = [
-        table[:, np.arange(ny), digits].sum(axis=2).reshape(-1)
+        table[:, np.arange(ny), last].sum(axis=2).reshape(-1)
         for _, table in _prefix_tables(problem, -(-count // n_maps))
     ]
     return np.concatenate(values)[:count] if values else np.empty(0)
@@ -130,9 +124,9 @@ def profile_values(problem: TeamProblem, count: int) -> np.ndarray:
 
 def iter_profiles(problem: TeamProblem):
     """Yield every deterministic profile in lexicographic order."""
-    spaces = problem.y_spaces, problem.u_spaces
-    for maps in _profile_maps(*spaces, problem.n_deterministic_profiles()):
-        for row in zip(*maps):
+    spaces, count = (problem.y_spaces, problem.u_spaces), problem.n_deterministic_profiles()
+    for first in range(0, count, _CHUNK):
+        for row in zip(*_profile_maps(*spaces, first, min(first + _CHUNK, count))):
             yield DeterministicProfile(row)
 
 
@@ -159,22 +153,22 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     whose value is within ``TIE_TOL * max(1, |V*|)`` of the optimum V*.
     That is the first prefix whose value is within the slack, then, one
     measurement at a time in index order, the lowest action whose excess
-    over its row minimum fits the slack still left.  The index is
-    prefix * |U_N|^|Y_N| plus the map's digits.  ``cap`` bounds the
-    number of profiles, not prefixes.
+    over its row minimum fits the slack still left.  The index is the
+    prefix followed by those actions as digits in radix |U_N|.  ``cap``
+    bounds the number of profiles, not prefixes.
     """
     total = problem.n_deterministic_profiles()
     if total > cap:
         raise CapExceeded(total, cap)
-    n_maps = _last_maps(problem)
+    prefixes = total // len(problem.u_spaces[-1]) ** len(problem.y_spaces[-1])
     values, cells = [], 0
-    for _, table in _prefix_tables(problem, total // n_maps):
+    for _, table in _prefix_tables(problem, prefixes):
         values.append(table.min(axis=2).sum(axis=1))
         cells = max(cells, table.size)
     _log.debug(
         "brute force: %d prefixes scanned, %d chunks, %d profiles covered, "
         "largest prefix table %d cells",
-        total // n_maps, len(values), total, cells,
+        prefixes, len(values), total, cells,
     )
     values = np.concatenate(values)
     optimum = values.min()
@@ -184,12 +178,11 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     table = table[0]
     excess = table - table.min(axis=1, keepdims=True)
     slack = bound - values[prefix]
-    last = np.empty(table.shape[0], dtype=int)
+    index, last = prefix, np.empty(table.shape[0], dtype=int)
     for y, row in enumerate(excess):
         last[y] = np.argmax(row <= slack)
         slack -= row[last[y]]
-    digits = np.ravel_multi_index(last, (table.shape[1],) * len(last))
-    index = prefix * n_maps + int(digits)
+        index = index * table.shape[1] + int(last[y])
     value = float(table[np.arange(len(last)), last].sum())
     profile = DeterministicProfile([m[0] for m in maps] + [last])
     return SolveResult(value, profile, index, total)

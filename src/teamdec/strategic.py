@@ -285,19 +285,16 @@ class NonconvexityWitness:
     verdict: MembershipVerdict
 
 
-def _pairs_across_dms(problem: TeamProblem, count: int):
-    """Lexicographic pairs (a, b), a < b, of the first ``count`` profile
-    indices whose profiles differ in at least two DMs' maps.  DM k's map
-    rank is digit k of the profile index in the mixed radix
-    (|U_1|^|Y_1|, ..., |U_N|^|Y_N|), DM 1 most significant, which is the
-    order of ``solvers._profile_maps``."""
-    radices = [len(u) ** len(y) for y, u in zip(problem.y_spaces, problem.u_spaces)]
-    if sum(r > 1 for r in radices) < 2:
+def _pairs_across_dms(maps: list):
+    """Lexicographic pairs (a, b), a < b, of rows of the decoded profile
+    ``maps`` (per DM, one row per profile) whose maps differ for at least
+    two DMs."""
+    maps = [m for m in maps if (m != m[:1]).any()]  # DMs whose map varies
+    if len(maps) < 2:
         return  # no two profiles differ in two DMs' maps
-    ranks = np.stack(np.unravel_index(np.arange(count), radices), axis=1)
-    for a in range(count):
-        across = np.flatnonzero((ranks[a + 1:] != ranks[a]).sum(axis=1) >= 2)
-        for b in (a + 1 + across).tolist():
+    for a in range(len(maps[0])):
+        differ = sum((m[a + 1:] != m[a]).any(axis=1) for m in maps)
+        for b in (a + 1 + np.flatnonzero(differ >= 2)).tolist():
             yield a, b
 
 
@@ -316,19 +313,18 @@ def find_nonconvexity_witness(
     those pairs leaves the first reported pair unchanged.  A profile's
     measure is induced when a tested pair first needs it, so a search
     that stops early induces only the profiles it has mixed; the caps
-    are checked for all of them before anything is induced."""
+    are checked for all of them before any is decoded or induced."""
     count = _profile_count(problem, cap)
-    spaces = problem.y_spaces, problem.u_spaces
+    maps = _profile_maps(problem.y_spaces, problem.u_spaces, 0, count)
     measures = {}  # profile index -> its induced measure
 
     def measure(i: int) -> StrategicMeasure:
         if i not in measures:
-            (maps,) = _profile_maps(*spaces, i + 1, i)
-            measures[i] = induce_LA(problem, DeterministicProfile([m[0] for m in maps]))
+            measures[i] = induce_LA(problem, DeterministicProfile([m[i] for m in maps]))
         return measures[i]
 
     walked, tested, witness = count * (count - 1) // 2, 0, None
-    for a, b in _pairs_across_dms(problem, count):
+    for a, b in _pairs_across_dms(maps):
         tested += 1
         mid = mix([measure(a), measure(b)], [lam, 1.0 - lam])
         verdict = check_membership_LR(mid)

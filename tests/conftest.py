@@ -352,13 +352,15 @@ def replay_maps_literal(problem, block, ua, ub):
 
 def to_jsonable_literal(obj):
     """The report tree, converted in one recursive copy before encoding:
-    numpy -> python, tuples -> lists, Fractions -> strings, enums ->
-    values, dataclasses -> dicts, dict keys -> strings, anything else ->
-    its string."""
+    numpy -> python (numpy bools -> bools), tuples -> lists, Fractions ->
+    strings, enums -> values, dataclasses -> dicts, dict keys -> strings,
+    anything else -> its string."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

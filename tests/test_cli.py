@@ -35,7 +35,13 @@ from teamdec.model import (
     TeamProblem,
     Violation,
 )
-from teamdec.probio import load_problem, measure_to_dict, problem_to_dict, save_problem
+from teamdec.probio import (
+    json_text,
+    load_problem,
+    measure_to_dict,
+    problem_to_dict,
+    save_problem,
+)
 from teamdec.solvers import pbp_iterate
 from teamdec.strategic import FailureRecord, induce_LA, mix
 
@@ -371,6 +377,11 @@ def test_report_bytes_match_the_recursive_encoder(tmp_path):
     assert out.read_text(encoding="utf-8") == want
 
 
+def test_numpy_bools_are_written_as_json_bools():
+    text = json_text({"x": np.bool_(True), "y": [np.bool_(False)]}, default=cli.to_jsonable)
+    assert '"x": true' in text and json.loads(text) == {"x": True, "y": [False]}
+
+
 def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
     def refuse():
         raise AssertionError("parser rebuilt")
@@ -550,6 +561,25 @@ def test_strategic_enumerate_matches_solve(tmp_path, capsys):
     assert report["argmin_index"] == int(np.argmin(want))
 
 
+def test_profile_commands_take_more_measurements_than_numpy_has_axes(tmp_path, capsys):
+    # DM 2 has one action for each of 70 measurements: two profiles, but
+    # one numpy axis per measurement would pass numpy's 64-axis limit
+    team = random_team(4, y_sizes=(1, 70), u_sizes=(2, 1), dynamic=True)
+    path = write_team(tmp_path, "wide.json", team)
+    want = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    best = int(np.argmin(want))
+    code, report = run_cli(capsys, "solve", path, "--method", "brute")
+    assert code == 0 and report["profile_index"] == best
+    assert report["value"] == pytest.approx(want[best], abs=1e-12)
+    code, report = run_cli(capsys, "solve", path, "--method", "mixture-lp")
+    assert code == 0 and report["support"] == [[best, 1.0]]
+    code, report = run_cli(capsys, "strategic", "enumerate", path)
+    assert code == 0 and report["argmin_index"] == best
+    assert report["first_values"] == pytest.approx(want, abs=1e-12)
+    code, report = run_cli(capsys, "strategic", "witness", path)
+    assert code == 0 and report["found"] is False  # DM 2 has one map
+
+
 def test_strategic_check_induced_and_mixed_measures(tmp_path, capsys):
     problem = random_team(0)
     path = write_team(tmp_path, "team.json", problem)
@@ -581,6 +611,33 @@ def test_strategic_check_induced_and_mixed_measures(tmp_path, capsys):
 
     code, report = run_cli(capsys, "strategic", "check", path)
     assert code == 2  # --measure is required
+
+
+def test_strategic_check_decides_randomized_membership_once(tmp_path, capsys, monkeypatch):
+    problem = random_team(0)
+    path = write_team(tmp_path, "team.json", problem)
+    a = induce_LA(problem, DeterministicProfile([np.zeros(2, int), np.zeros(2, int)]))
+    b = induce_LA(problem, DeterministicProfile([np.ones(2, int), np.ones(2, int)]))
+    mixed = mix([a, b], [0.5, 0.5])
+    m_path = tmp_path / "measure.json"
+    m_path.write_text(json.dumps(measure_to_dict(mixed)))
+    real = strategic.check_membership_LR
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(strategic, "check_membership_LR", counted)
+    monkeypatch.setattr(cli, "check_membership_LR", counted, raising=False)
+    code, report = run_cli(capsys, "strategic", "check", path, "--measure", str(m_path))
+    assert code == 0
+    assert len(calls) == 1
+    # the LR section is the randomized verdict itself; LA adds point-mass records
+    lr = json.loads(json_text(real(calls[0][0]).failures, default=cli.to_jsonable))
+    assert report["failures_LR"] == lr and report["member_LR"] is False
+    assert report["failures_LA"][: len(lr)] == lr
+    assert {f["condition"] for f in report["failures_LA"][len(lr):]} == {"point-mass"}
 
 
 def test_strategic_witness_on_signaling_chain(tmp_path, capsys, monkeypatch):
@@ -706,6 +763,26 @@ def test_gallery_nodes_past_the_quadrature_limit_name_the_node_count():
     error = json.loads(run.stdout)["error"]
     assert error["type"] == "ValidationError"
     assert "371 nodes" in error["message"] and "prior" not in error["message"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["example1", "--step", "nan"], "step"),
+    (["witsenhausen", "--k", "nan"], "k"),
+    (["witsenhausen", "--sigma", "inf"], "sigma"),
+    (["signaling", "--sigma", "nan", "--check", "zero-encoder"], "sigma"),
+    (["signaling", "--k", "inf", "--check", "zero-encoder"], "k"),
+    (["signaling", "--k", "nan"], "k"),
+])
+def test_gallery_refuses_non_finite_parameters_by_name(argv, name):
+    src = os.path.dirname(os.path.dirname(teamdec.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "teamdec.cli", "gallery", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stderr) == (2, "")
+    error = json.loads(run.stdout)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(f"{name} must be")
 
 
 def test_gallery_square_wave(capsys):

@@ -205,6 +205,22 @@ def test_quadrature_spec_validation():
         TwoStageGaussianTeam.build("witsenhausen", -0.2, 5.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_non_finite_or_out_of_range_parameters_are_refused_by_name(bad):
+    cases = [
+        ("k", lambda: TwoStageGaussianTeam.build("signaling", bad, 5.0)),
+        ("sigma", lambda: TwoStageGaussianTeam.build("witsenhausen", 0.2, bad)),
+        ("sigma", lambda: gauss_hermite(4, bad)),
+        ("u_range_sigmas", lambda: QuadratureSpec(u_range_sigmas=bad)),
+    ]
+    if bad != 0.0:  # a zero pad is allowed
+        cases.append(("y2_pad", lambda: QuadratureSpec(y2_pad=bad)))
+    for name, build in cases:
+        with pytest.raises(ValidationError, match=f"^(quadrature spec )?{name} must be"):
+            build()
+    assert QuadratureSpec(y2_pad=0.0).y2_pad == 0.0
+
+
 def test_quadrature_sizes_are_capped_before_any_node_is_computed():
     # the cost table and DM 2's kernel hold y1_nodes * 129 * 129 cells each
     assert QuadratureSpec(y1_nodes=1201, w_nodes=1201).y1_nodes == 1201

@@ -2,6 +2,7 @@
 response tables against per-map summation, cyclic best-response descent,
 the mixture relaxation, and the quadrature-team optimality checks."""
 
+import itertools
 import logging
 import tracemalloc
 from fractions import Fraction
@@ -250,6 +251,51 @@ def test_profile_values_follow_the_lexicographic_order():
             got = profile_values(team, count)
             assert got.shape == (count,)
             assert got == pytest.approx(want[:count], abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    dms=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+    ).filter(lambda dms: np.prod([u ** y for y, u in dms]) <= 200),
+    data=st.data(),
+)
+def test_profile_maps_slice_the_literal_walk(dms, data):
+    y_spaces = [range(y) for y, _ in dms]
+    u_spaces = [range(u) for _, u in dms]
+    walk = list(itertools.product(*[itertools.product(u, repeat=len(y))
+                                    for y, u in zip(y_spaces, u_spaces)]))
+
+    def literal(first, stop):
+        return [[list(p[k]) for p in walk[first:stop]] for k in range(len(dms))]
+
+    cuts = data.draw(st.lists(st.integers(0, len(walk)), max_size=4))
+    bounds = sorted({0, len(walk), *cuts})
+    pieces = []
+    for first, stop in zip(bounds, bounds[1:]):
+        maps = solvers._profile_maps(y_spaces, u_spaces, first, stop)
+        assert [m.shape for m in maps] == [(stop - first, y) for y, _ in dms]
+        assert [m.tolist() for m in maps] == literal(first, stop)
+        pieces.append(maps)
+    whole = [np.concatenate(ms).tolist() for ms in zip(*pieces)]
+    assert whole == literal(0, len(walk))
+    empty = solvers._profile_maps(y_spaces, u_spaces, len(walk), len(walk))
+    assert [m.shape for m in empty] == [(0, y) for y, _ in dms]
+
+
+def test_profile_scans_take_more_measurements_than_numpy_has_axes():
+    # DM 2 has one action for each of 70 measurements: two profiles, but
+    # one numpy axis per measurement would pass numpy's 64-axis limit
+    team = random_team(4, y_sizes=(1, 70), u_sizes=(2, 1), dynamic=True)
+    want = [naive_expected_cost(team, p) for p in enumerate_profiles_literal(team)]
+    res = brute_force(team)
+    assert (res.n_profiles, res.index) == (2, int(np.argmin(want)))
+    assert res.value == pytest.approx(min(want), abs=1e-12)
+    assert [a.tolist() for a in res.profile.actions] == [[res.index], [0] * 70]
+    lp = mixture_lp(team)
+    assert lp.support == ((res.index, 1.0),) and lp.value == res.value
+    assert profile_values(team, 2) == pytest.approx(want, abs=1e-12)
+    assert profile_values(team, 1) == pytest.approx(want[:1], abs=1e-12)
 
 
 def test_response_table_decomposes_the_cost():
