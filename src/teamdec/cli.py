@@ -285,7 +285,7 @@ def cmd_strategic(args) -> dict:
 def _gallery_spec(args) -> Optional[QuadratureSpec]:
     if args.nodes is None:
         return None
-    return QuadratureSpec(y1_nodes=args.nodes, w_nodes=args.nodes)
+    return QuadratureSpec(y1_nodes=args.nodes)
 
 
 def cmd_gallery(args) -> dict:

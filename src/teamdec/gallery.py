@@ -273,7 +273,7 @@ def _gaussian_bundle(bundle: type, name: str, k: float, sigma: float,
                      spec: Optional[QuadratureSpec]):
     """The named two-stage team, its discretization and static reduction."""
     spec = spec if spec is not None else QuadratureSpec()
-    team = TwoStageGaussianTeam.build(name, k, sigma, spec.y1_nodes, spec.w_nodes)
+    team = TwoStageGaussianTeam.build(name, k, sigma, spec.y1_nodes)
     problem, references = discretize(team, spec)
     return bundle(team, spec, problem, static_reduce(problem, references))
 

@@ -244,31 +244,45 @@ def nested_along_order(problem: TeamProblem) -> bool:
     )
 
 
+def _conditional(table: np.ndarray) -> tuple:
+    """The conditional along the last axis, and ``seen``, the mask of
+    positive sums (that axis kept with length 1).  A zero-sum row comes
+    back as a point mass on index 0."""
+    total = table.sum(axis=-1, keepdims=True)
+    seen = total > 0
+    cond = np.divide(table, total, out=np.zeros_like(table), where=seen)
+    np.copyto(cond[..., :1], 1.0, where=~seen)
+    return cond, seen
+
+
+def _deviation(table: np.ndarray, ref: np.ndarray) -> tuple:
+    """|P(last axis | other axes) - ref|, and the positive-mass mask."""
+    cond, seen = _conditional(table)
+    return np.abs(cond - ref), seen
+
+
+def _depends_only_on(table: np.ndarray, keep: tuple) -> bool:
+    """Does the conditional of the last axis given the others depend on
+    the axes ``keep`` only, to within EQ_TOL on positive mass?"""
+    drop = tuple(a for a in range(table.ndim - 1) if a not in keep)
+    dev, seen = _deviation(table, _conditional(table.sum(axis=drop, keepdims=True))[0])
+    return not ((dev > EQ_TOL) & seen).any()
+
+
 def test_conditional_independence(joint: np.ndarray) -> bool:
     """Is X independent of Z given Y, for a joint table over (X, Y, Z)?
 
-    Checks P(x, z | y) = P(x | y) P(z | y) on every positive-mass slice
-    of Y, to within EQ_TOL.
+    Checks P(x | y, z) = P(x | y) on every positive-mass (y, z), to
+    within EQ_TOL.
     """
     j = np.asarray(joint, dtype=float)
     if j.ndim != 3:
         raise ValidationError(f"need a 3-axis joint, got shape {j.shape}")
     if np.any(j < 0) or not np.all(np.isfinite(j)):
         raise ValidationError("joint table must be nonnegative and finite")
-    total = j.sum()
-    if total <= 0:
+    if j.sum() <= 0:
         raise ValidationError("joint table has zero total mass")
-    j = j / total
-    for y in range(j.shape[1]):
-        sl = j[:, y, :]
-        py = sl.sum()
-        if py <= 0.0:
-            continue
-        cond = sl / py
-        prod = np.outer(cond.sum(axis=1), cond.sum(axis=0))
-        if np.max(np.abs(cond - prod)) > EQ_TOL:
-            return False
-    return True
+    return _depends_only_on(np.moveaxis(j, 0, -1), (0,))  # (Y, Z, X)
 
 
 @dataclass(frozen=True)
@@ -343,31 +357,17 @@ def is_stochastically_decoupled(
         return n_fac + 2 * (k - 1)
 
     for i in range(1, n + 1):
-        x_axes = [f for f in annotation.dm_state_factors[i - 1]]
+        x_axes = list(annotation.dm_state_factors[i - 1])
         if not x_axes:
             continue
-        own = y_axis(i)
-        z_axes = sorted(
-            [f for f in annotation.shared_factors]
-            + [
-                f
-                for j in range(n)
-                if j != i - 1
-                for f in annotation.dm_state_factors[j]
-            ]
-            + [y_axis(j) for j in range(1, i)]
+        groups = annotation.dm_state_factors + (annotation.shared_factors,)
+        given = sorted(
+            [f for g in groups for f in g if f not in x_axes]
+            + [y_axis(j) for j in range(1, i + 1)]
         )
-        keep = x_axes + [own] + z_axes
-        drop = tuple(a for a in range(joint.ndim) if a not in keep)
-        # after summing, surviving axes appear in ascending original order;
-        # permute them into (X..., Y, Z...)
-        sorted_keep = sorted(keep)
-        perm = [sorted_keep.index(a) for a in keep]
-        marg = joint.sum(axis=drop).transpose(perm)
-        nx = int(np.prod([joint.shape[a] for a in x_axes]))
-        ny = joint.shape[own]
-        nz = int(np.prod([joint.shape[a] for a in z_axes])) if z_axes else 1
-        tri = marg.reshape(nx, ny, nz)
-        if not test_conditional_independence(tri):
+        # sum down to (given..., X...) and flatten X into the last axis
+        marg = np.einsum(joint, list(range(joint.ndim)), given + x_axes)
+        tab = marg.reshape(marg.shape[: len(given)] + (-1,))
+        if not _depends_only_on(tab, (given.index(y_axis(i)),)):
             return False
     return True

@@ -56,13 +56,14 @@ def gauss_hermite(n: int, sigma: float = 1.0) -> tuple:
 class QuadratureSpec:
     """Grid sizes for the two-stage Gaussian teams.
 
+    Quadrature takes y1_nodes Gauss-Hermite nodes for the state and as
+    many for the noise.
     Action grids are uniform over +-(u_range_sigmas * sigma); the second
     measurement grid extends the action range by y2_pad noise standard
     deviations on each side.
     """
 
     y1_nodes: int = 64
-    w_nodes: int = 64
     u1_points: int = 129
     u2_points: int = 129
     y2_points: int = 129
@@ -70,7 +71,7 @@ class QuadratureSpec:
     y2_pad: float = 4.0
 
     def __post_init__(self):
-        for name in ("y1_nodes", "w_nodes", "u1_points", "u2_points", "y2_points"):
+        for name in ("y1_nodes", "u1_points", "u2_points", "y2_points"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValidationError(f"quadrature spec {name} must be a positive int")
@@ -89,7 +90,6 @@ class QuadratureSpec:
 # table cap, for certification runs.
 CERTIFY_SPEC = QuadratureSpec(
     y1_nodes=16,
-    w_nodes=16,
     u1_points=17,
     u2_points=17,
     y2_points=33,
@@ -136,15 +136,15 @@ class TwoStageGaussianTeam:
 
     @staticmethod
     def build(
-        kind: str, k: float, sigma: float, n_y: int = 64, n_w: int = 64
+        kind: str, k: float, sigma: float, nodes: int = 64
     ) -> "TwoStageGaussianTeam":
         if kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
         for name, v in (("k", k), ("sigma", sigma)):
             if not 0 < v < np.inf:
                 raise ValidationError(f"{name} must be positive and finite, got {v}")
-        yn, yw = gauss_hermite(n_y, sigma)
-        wn, ww = gauss_hermite(n_w, 1.0)
+        yn, yw = gauss_hermite(nodes, sigma)
+        wn, ww = gauss_hermite(nodes, 1.0)
         return TwoStageGaussianTeam(kind, k, sigma, yn, yw, wn, ww)
 
     def stage_cost(self, y1, u1, u2):

@@ -30,7 +30,7 @@ from .errors import (
     NotClassical,
     ValidationError,
 )
-from .infostruct import _static_rows, nested_along_order
+from .infostruct import _conditional, _depends_only_on, _deviation, _static_rows, nested_along_order
 from .model import (
     DeterministicProfile,
     RandomizedProfile,
@@ -139,17 +139,6 @@ def _joint_spaces(problem: TeamProblem) -> list:
     return spaces
 
 
-def _conditional(table: np.ndarray) -> tuple:
-    """The conditional along the last axis, and ``seen``, the mask of
-    positive sums (that axis kept with length 1).  A zero-sum row comes
-    back as a point mass on index 0."""
-    total = table.sum(axis=-1, keepdims=True)
-    seen = total > 0
-    cond = np.divide(table, total, out=np.zeros_like(table), where=seen)
-    np.copyto(cond[..., :1], 1.0, where=~seen)
-    return cond, seen
-
-
 def aggregate_policy(measure: StrategicMeasure, dm: int) -> np.ndarray:
     """The measure's action conditional for DM ``dm`` given its own
     measurement (marginalizing the rest of the past).  Zero-mass rows
@@ -183,13 +172,11 @@ def check_membership_LR(measure: StrategicMeasure) -> MembershipVerdict:
     for k in range(1, n + 1):
         tail = tuple(range(2 * k + 1, 2 * n + 1))
         with_u = j.sum(axis=tail) if tail else j  # (.., y_k, u_k)
-        cond_y, seen_h = _conditional(with_u.sum(axis=-1))  # P(y_k | h)
-        cond_u, seen_hy = _conditional(with_u)  # P(u_k | h, y_k)
         # the kernel (omega, u1..u_{k-1}, y_k), spread over the history's y-axes
         kern = np.expand_dims(problem.kernels[k - 1].table, tuple(range(1, 2 * k - 1, 2)))
         for condition, dev, seen in (
-            ("measurement", np.abs(cond_y - kern), seen_h),  # (a)
-            ("policy", np.abs(cond_u - aggregate_policy(measure, k)), seen_hy),  # (b)
+            ("measurement", *_deviation(with_u.sum(axis=-1), kern)),  # (a) P(y_k | h)
+            ("policy", *_deviation(with_u, aggregate_policy(measure, k))),  # (b) P(u_k | h, y_k)
         ):
             viol = (dev > EQ_TOL) & seen
             if viol.any():
@@ -241,12 +228,8 @@ def check_membership_LM(measure: StrategicMeasure) -> bool:
 
     for k in range(1, n + 1):
         drop = (0,) + tuple(2 * m for m in range(1, n + 1) if m != k)
-        tab = j.sum(axis=drop)  # (y1, ..., yN, u_k)
-        cond_all, seen = _conditional(tab)  # P(u_k | y1, ..., yN)
-        own_axes = tuple(a for a in range(n) if a != k - 1)
-        cond_own, _ = _conditional(tab.sum(axis=own_axes))  # P(u_k | y_k)
-        dev = np.abs(cond_all - np.expand_dims(cond_own, own_axes))
-        if ((dev > EQ_TOL) & seen).any():
+        tab = np.moveaxis(j.sum(axis=drop), k, -1)  # (y1, ..., yN, u_k)
+        if not _depends_only_on(tab, (k - 1,)):  # P(u_k | y1..yN) = P(u_k | y_k)
             return False
     return True
 

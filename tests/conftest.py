@@ -6,6 +6,7 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import settings
 
 from teamdec.model import (
     CostTable,
@@ -16,6 +17,10 @@ from teamdec.model import (
     RandomizedProfile,
     TeamProblem,
 )
+
+# every property test is reproducible and untimed; tests set max_examples
+settings.register_profile("teamdec", derandomize=True, deadline=None)
+settings.load_profile("teamdec")
 
 
 def random_team(
@@ -294,6 +299,26 @@ def sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega=2):
          for k, n in enumerate(u_sizes)],
         kernels,
         CostTable(rng.uniform(0.0, 1.0, size=(n_omega,) + tuple(u_sizes))),
+    )
+
+
+def three_dm_bsc_team():
+    """A static team of three DMs with two measurements and two actions
+    each: omega is uniform on 0..3 and DM k sees omega // 2 through a
+    binary symmetric channel with crossover 0.1, 0.2 and 0.3."""
+    omega = FiniteSpace("w", [0, 1, 2, 3])
+    kernels = []
+    for k, eps in enumerate((0.1, 0.2, 0.3)):
+        rows = np.array([[1 - eps, eps], [eps, 1 - eps]])[np.arange(4) // 2]
+        table = np.broadcast_to(rows.reshape((4,) + (1,) * k + (2,)), (4,) + (2,) * (k + 1))
+        kernels.append(MeasurementKernel(k + 1, table.copy()))
+    return TeamProblem(
+        omega,
+        Pmf.uniform(omega),
+        [FiniteSpace(f"y{k}", [0, 1]) for k in (1, 2, 3)],
+        [FiniteSpace(f"u{k}", [0.0, 1.0]) for k in (1, 2, 3)],
+        kernels,
+        CostTable(np.random.default_rng(0).uniform(size=(4, 2, 2, 2))),
     )
 
 

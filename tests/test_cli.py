@@ -52,6 +52,7 @@ from conftest import (
     random_team,
     relay_team,
     sign_product_team,
+    three_dm_bsc_team,
     to_jsonable_literal,
 )
 
@@ -611,6 +612,19 @@ def test_strategic_check_induced_and_mixed_measures(tmp_path, capsys):
 
     code, report = run_cli(capsys, "strategic", "check", path)
     assert code == 2  # --measure is required
+
+
+def test_strategic_check_puts_an_induced_measure_of_three_static_dms_in_every_class(
+    tmp_path, capsys
+):
+    problem = three_dm_bsc_team()
+    path = write_team(tmp_path, "team.json", problem)
+    maps = [np.array([0, 1]), np.array([1, 1]), np.array([1, 0])]
+    m_path = tmp_path / "m.json"
+    m_path.write_text(json.dumps(measure_to_dict(induce_LA(problem, DeterministicProfile(maps)))))
+    code, report = run_cli(capsys, "strategic", "check", path, "--measure", str(m_path))
+    assert code == 0
+    assert (report["member_LR"], report["member_LA"], report["member_LM"]) == (True, True, True)
 
 
 def test_strategic_check_decides_randomized_membership_once(tmp_path, capsys, monkeypatch):

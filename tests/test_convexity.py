@@ -140,7 +140,7 @@ def literal_midpoint_scan(values, axes, tol):
     return passed, strict, min_margin, n_pairs, first
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     shape=st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
     kind=st.sampled_from(["random", "constant", "convex", "concave"]),
@@ -341,7 +341,7 @@ def test_certify_is_inconclusive_when_no_candidate_pair_violates():
     )
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_omega=st.integers(1, 6),

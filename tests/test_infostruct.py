@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamdec.constants import EQ_TOL
 from teamdec.errors import (
     GroundMismatch,
     NonDeterministicMeasurement,
@@ -14,6 +15,7 @@ from teamdec.errors import (
 from teamdec.infostruct import (
     ISClass,
     Partition,
+    SubsystemAnnotation,
     affects,
     classify,
     information_nested,
@@ -25,7 +27,7 @@ from teamdec.infostruct import (
     sigma_field_of,
 )
 from teamdec.infostruct import test_conditional_independence as check_ci
-from teamdec.model import FiniteSpace, MeasurementKernel, TeamProblem
+from teamdec.model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem
 from teamdec.strategic import check_membership_LM, induce_LA
 
 from conftest import (
@@ -128,7 +130,7 @@ def test_meet_join_algebra():
 LATTICE5 = [Partition(FiniteSpace("g", list(range(5))), b) for b in all_partitions(5)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(st.lists(st.integers(0, len(LATTICE5) - 1), min_size=3, max_size=4))
 def test_n_ary_meet_join_match_folds_and_lattice_oracle(picks):
     """meet and join of 3-4 partitions of a 5-point set equal the
@@ -240,7 +242,7 @@ def atoms_nested(problem, k, i):
     return True
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3),
     n_omega=st.integers(1, 4),
@@ -336,6 +338,86 @@ def test_conditional_independence_detects_product_and_coupling():
         check_ci(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         check_ci(np.zeros((2, 2, 2)))
+
+
+def test_conditional_independence_sees_a_rare_conditioning_value():
+    """P(x | y, z) is compared with P(x | y) wherever (y, z) has mass,
+    however little: x given the rare z = 1 is a point mass, while x
+    given y is a fair coin."""
+    joint = np.zeros((2, 1, 2))
+    joint[:, 0, 0] = 0.5, 0.5
+    joint[0, 0, 1] = 1e-13
+    assert not check_ci(joint)
+    joint[1, 0, 1] = 1e-13
+    assert check_ci(joint)
+
+
+def literal_decoupled(problem, annotation):
+    """The decoupling conditions by loops: the closed-loop joint under
+    uniform policies over (state factors, y1..yN), then, per DM i,
+    P(x_i | y_i, z) against P(x_i | y_i) wherever (y_i, z) has mass,
+    where z is every other factor and y1..y_{i-1}."""
+    n = problem.n_dms
+    factors = list(itertools.product(*map(range, annotation.factor_sizes)))
+    ranges = [r for k in range(n)
+              for r in (range(len(problem.y_spaces[k])), range(len(problem.u_spaces[k])))]
+    cells = {}
+    for w, f in enumerate(factors):
+        for h in itertools.product(*ranges):
+            p = problem.prior.mass[w]
+            for k in range(n):
+                p *= problem.kernels[k].table[(w,) + h[1:2 * k:2] + (h[2 * k],)]
+                p /= len(problem.u_spaces[k])
+            key = f + h[0::2]
+            cells[key] = cells.get(key, 0.0) + p
+    for i in range(n):
+        xs = annotation.dm_state_factors[i]
+        if not xs:
+            continue
+        joint, given = {}, {}  # (y_i, z) -> {x: mass}; y_i -> {x: mass}
+        for key, p in cells.items():
+            f, ys = key[:len(annotation.factor_sizes)], key[len(annotation.factor_sizes):]
+            x = tuple(f[a] for a in xs)
+            z = tuple(v for a, v in enumerate(f) if a not in xs) + ys[:i]
+            for table, cond in ((joint, (ys[i], z)), (given, ys[i])):
+                row = table.setdefault(cond, {})
+                row[x] = row.get(x, 0.0) + p
+        for (y, z), row in joint.items():
+            mass, ref = sum(row.values()), given[y]
+            if mass > 0 and any(
+                abs(row.get(x, 0.0) / mass - ref.get(x, 0.0) / sum(ref.values())) > EQ_TOL
+                for x in set(row) | set(ref)
+            ):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_decoupling_with_a_two_factor_subsystem_matches_a_literal_loop(coupled):
+    """omega = (a, b, c, s) on (2, 2, 2, 2): DM 1 owns (a, b) and sees a
+    noisy copy of the pair, DM 2 owns c and sees c (or c xor a when
+    coupled) through a channel that u1 also moves, s is shared."""
+    rng = np.random.default_rng(3)
+    omega = FiniteSpace("abcs", list(itertools.product(range(2), repeat=4)))
+    pab, pc, ps = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+    mass = [pab[2 * a + b] * pc[c] * ps[s] for a, b, c, s in omega.points]
+    noise1 = rng.dirichlet(np.ones(4), size=4)  # (a, b) -> y1
+    noise2 = rng.dirichlet(np.ones(2), size=(2, 2))  # (source bit, u1) -> y2
+    t1 = np.array([noise1[2 * a + b] for a, b, c, s in omega.points])
+    t2 = np.array([[noise2[c ^ (a if coupled else 0), u] for u in range(2)]
+                   for a, b, c, s in omega.points])
+    team = TeamProblem(
+        omega,
+        Pmf(omega, mass),
+        [FiniteSpace("y1", list(range(4))), FiniteSpace("y2", [0, 1])],
+        [FiniteSpace("u1", [0.0, 1.0]), FiniteSpace("u2", [0.0, 1.0])],
+        [MeasurementKernel(1, t1), MeasurementKernel(2, t2)],
+        CostTable(np.zeros((16, 2, 2))),
+    )
+    annotation = SubsystemAnnotation((2, 2, 2, 2), ((0, 1), (2,)), (3,))
+    want = literal_decoupled(team, annotation)
+    assert want is not coupled
+    assert is_stochastically_decoupled(team, annotation) is want
 
 
 def test_stochastic_decoupling_verdicts_from_gallery_annotation():

@@ -96,7 +96,7 @@ def generated_team(seed, dms, n_omega, dynamic, zeros, tuples):
     )
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(
     dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
     n_omega=st.integers(1, 4),

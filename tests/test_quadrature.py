@@ -223,7 +223,7 @@ def test_non_finite_or_out_of_range_parameters_are_refused_by_name(bad):
 
 def test_quadrature_sizes_are_capped_before_any_node_is_computed():
     # the cost table and DM 2's kernel hold y1_nodes * 129 * 129 cells each
-    assert QuadratureSpec(y1_nodes=1201, w_nodes=1201).y1_nodes == 1201
+    assert QuadratureSpec(y1_nodes=1201).y1_nodes == 1201
     with pytest.raises(CapExceeded) as err:
         QuadratureSpec(y1_nodes=1202)
     assert (err.value.count, err.value.cap) == (20002482, TABLE_CAP)

@@ -127,7 +127,7 @@ tie_dms = st.lists(
 ).filter(lambda dms: np.prod([u ** y for y, u in dms]) <= 64)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(
     dms=tie_dms,
     n_omega=st.integers(1, 3),
@@ -253,7 +253,7 @@ def test_profile_values_follow_the_lexicographic_order():
             assert got == pytest.approx(want[:count], abs=1e-12)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     dms=st.lists(
         st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3

@@ -55,6 +55,7 @@ from conftest import (
     random_randomized_profile,
     random_team,
     sparse_team,
+    three_dm_bsc_team,
 )
 
 
@@ -333,7 +334,7 @@ def test_failure_records_carry_point_labels():
     assert rec.deviation > 0.1
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(
     dms=small_dms,
     n_omega=st.integers(1, 3),
@@ -655,7 +656,7 @@ def test_signaling_team_mixture_of_optima_leaves_the_class():
     assert find_nonconvexity_witness(team) is not None
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     dms=small_dms,
     n_omega=st.integers(1, 3),
@@ -691,7 +692,7 @@ def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, 
     ]
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     dms=small_dms,
     n_omega=st.integers(1, 3),
@@ -757,6 +758,73 @@ def test_relaxed_class_rejects_cross_measurement_policies():
     with pytest.raises(StaticRequired):
         check_membership_LM(induce_LA(random_team(1, dynamic=True),
                                       random_profile(random_team(1, dynamic=True), 1)))
+
+
+def literal_in_LM(problem, joint, tol=EQ_TOL):
+    """The relaxed class by a loop over measurement tuples: the (omega,
+    y1..yN) marginal against prior times kernel rows, and, with u_k
+    moved last, P(u_k | y1..yN) against P(u_k | y_k) where y1..yN has
+    mass.  Returns the verdict and every deviation compared."""
+    n, devs = problem.n_dms, []
+    marg = joint.sum(axis=tuple(range(2, 2 * n + 1, 2)))
+    for w, *ys in itertools.product(*map(range, marg.shape)):
+        want = problem.prior.mass[w]
+        for k in range(n):
+            want *= problem.kernels[k].table[(w,) + (0,) * k + (ys[k],)]
+        devs.append(abs(marg[(w, *ys)] - want))
+    for k in range(n):
+        others = tuple(2 * m + 2 for m in range(n) if m != k)
+        tab = np.moveaxis(joint.sum(axis=(0,) + others), k + 1, -1)  # (y1..yN, u_k)
+        own = tab.sum(axis=tuple(m for m in range(n) if m != k))  # (y_k, u_k)
+        for ys in itertools.product(*map(range, tab.shape[:-1])):
+            mass = tab[ys].sum()
+            if mass > 0:
+                ref = own[ys[k]] / own[ys[k]].sum()
+                devs.extend(np.abs(tab[ys] / mass - ref))
+    return all(d <= tol for d in devs), devs
+
+
+def test_relaxed_class_holds_every_induced_measure_of_a_three_dm_static_team():
+    """With u_k taken from its own axis, not the last one: P(u1 | y1,
+    y2, y3) depends on y1 alone under every deterministic profile."""
+    team = three_dm_bsc_team()
+    measures = enumerate_LA(team)
+    assert len(measures) == 64
+    assert all(check_membership_LM(m) for m in measures)
+    # u1 copies y3, which DM 1 cannot see; u2 = u3 = 0
+    joint = np.zeros(team.joint_shape())
+    rows = [team.kernels[k].table.reshape(4, -1, 2)[:, 0, :] for k in range(3)]
+    for w, a, b, c in itertools.product(range(4), range(2), range(2), range(2)):
+        joint[w, a, c, b, 0, c, 0] += 0.25 * rows[0][w, a] * rows[1][w, b] * rows[2][w, c]
+    copied = StrategicMeasure(team, joint)
+    assert not check_membership_LM(copied)
+    assert not literal_in_LM(team, copied.joint)[0]
+
+
+@settings(max_examples=150)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=4),
+    n_omega=st.integers(1, 3),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_induced_measures_of_static_teams_lie_in_every_class(dms, n_omega, zeros, seed):
+    """Induced deterministic measures lie in L_A, L_R and L_M, induced
+    randomized ones in L_R and L_M; on both and on their 50/50
+    mixtures L_M agrees with the literal loop."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, False, zeros, n_omega)
+    det = induce_LA(team, random_profile(team, seed))
+    det2 = induce_LA(team, random_profile(team, seed + 1))
+    rnd = induce_LR(team, random_randomized_profile(team, seed))
+    assert check_membership_LA(det).member and check_membership_LR(det).member
+    assert check_membership_LR(rnd).member
+    for m in (det, rnd, mix([det, det2], [0.5, 0.5]), mix([det, rnd], [0.5, 0.5])):
+        want, devs = literal_in_LM(team, m.joint)
+        assume(not any(EQ_TOL / 100 < d <= 1e-6 for d in devs))
+        assert check_membership_LM(m) == want
+        if m is det or m is rnd:
+            assert want
 
 
 # ------------------------------------------------- classical realization
