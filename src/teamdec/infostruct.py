@@ -29,6 +29,7 @@ from .model import (
     FiniteSpace,
     RandomizedProfile,
     TeamProblem,
+    _compact,
     induced_joint,
 )
 
@@ -134,13 +135,12 @@ class PrecedenceGraph:
 
 def affects(problem: TeamProblem, k: int, i: int) -> bool:
     """True iff some two histories differing only in u_k give DM i
-    different measurement rows (exact table comparison)."""
+    different measurement rows: DM i's stored kernel keeps the u_k axis
+    (it cuts exactly the axes along which the table is constant)."""
     n = problem.n_dms
     if not (1 <= k < i <= n):
         raise ValidationError(f"need 1 <= k < i <= {n}, got k={k}, i={i}")
-    table = problem.kernels[i - 1].table
-    first = table.take([0], axis=k)
-    return not np.array_equal(table, np.broadcast_to(first, table.shape))
+    return _compact(problem.kernels[i - 1].table).shape[k] > 1
 
 
 def precedence_graph(problem: TeamProblem) -> PrecedenceGraph:
@@ -158,11 +158,11 @@ def _static_rows(problem: TeamProblem, dm: int) -> np.ndarray:
     n = problem.n_dms
     if not (1 <= dm <= n):
         raise ValidationError(f"dm index {dm} out of range 1..{n}")
-    for k in range(1, dm):
-        if affects(problem, k, dm):
-            raise StaticRequired(f"DM {dm}'s measurement depends on u{k}")
-    # constant along the action axes, so any index there reads the row
-    return problem.kernels[dm - 1].table[(slice(None),) + (0,) * (dm - 1)]
+    rows = _compact(problem.kernels[dm - 1].table)
+    kept = [k for k in range(1, dm) if rows.shape[k] > 1]
+    if kept:
+        raise StaticRequired(f"DM {dm}'s measurement depends on u{kept[0]}")
+    return np.broadcast_to(rows.reshape(rows.shape[0], -1), (len(problem.omega0), rows.shape[-1]))
 
 
 def _observation(problem: TeamProblem, dm: int) -> np.ndarray:

@@ -11,6 +11,12 @@ Index-ordering convention used by every joint table in the package:
 
 i.e. axis 0 is the exogenous point, DM k's measurement sits on axis
 2k - 1 and its action on axis 2k.
+
+Storage rule: a measurement kernel is stored at the size of what it
+depends on, every history axis along which its table is exactly constant
+cut to length 1; ``MeasurementKernel.table`` is a read-only broadcast
+view of it at the full shape.  The chain folds read the stored form
+(``_compact``) and sum over the cut axes before each contraction.
 """
 
 from __future__ import annotations
@@ -114,6 +120,12 @@ class Pmf:
         return np.flatnonzero(self.mass > 0.0)
 
 
+def _compact(table: np.ndarray) -> np.ndarray:
+    """A kernel or static-reduction weight table in its stored form: the
+    view with every stride-0 history axis cut to length 1."""
+    return table[tuple(slice(0, 1) if s == 0 else slice(None) for s in table.strides[:-1])]
+
+
 @dataclass(frozen=True)
 class MeasurementKernel:
     """DM ``dm``'s measurement: a stochastic table over its y-space.
@@ -122,6 +134,11 @@ class MeasurementKernel:
     for a history (omega0, u1, ..., u_{dm-1}) is the distribution of
     y_dm given that history.  Rows are raw values here; ``validate``
     reports rows that are not probability vectors.
+
+    Only the rows the kernel depends on are stored: each history axis
+    along which the table is exactly constant is cut to length 1, and
+    ``table`` is a read-only broadcast view of the stored rows at the
+    full shape, equal to the input value for value.
     """
 
     dm: int
@@ -130,8 +147,15 @@ class MeasurementKernel:
     def __init__(self, dm: int, table):
         if dm < 1:
             raise ValidationError(f"dm index must be >= 1, got {dm}")
+        t = np.atleast_1d(np.asarray(table, dtype=float))
+        rows = _compact(t)  # a stride-0 axis is constant without a comparison
+        for a in range(rows.ndim - 1):
+            first = rows[(slice(None),) * a + (slice(0, 1),)]
+            if rows.shape[a] > 1 and (rows == first).all():
+                rows = first
+        rows = _readonly(rows.copy() if rows.size < t.size else rows)
         object.__setattr__(self, "dm", int(dm))
-        object.__setattr__(self, "table", _readonly(table))
+        object.__setattr__(self, "table", np.broadcast_to(rows, t.shape))
 
 
 @dataclass(frozen=True)
@@ -347,15 +371,16 @@ def validate(problem: TeamProblem) -> list:
 
     for k in range(1, n + 1):
         table = problem.kernels[k - 1].table
-        flat = table.reshape(-1, table.shape[-1])
-        sums = flat.sum(axis=1)
-        bad = np.flatnonzero(
+        rows = _compact(table)  # each stored row is checked once, then reported per history
+        sums = rows.sum(axis=-1)
+        bad = (
             (np.abs(sums - 1.0) > INPUT_MASS_TOL)
-            | (flat < 0).any(axis=1)
-            | ~np.isfinite(flat).all(axis=1)
+            | (rows < 0).any(axis=-1)
+            | ~np.isfinite(rows).all(axis=-1)
         )
         hist_shape = table.shape[:-1]
-        for b in bad:
+        sums = np.broadcast_to(sums, hist_shape)
+        for b in np.flatnonzero(np.broadcast_to(bad, hist_shape)):
             idx = np.unravel_index(b, hist_shape)
             labels = _history_labels(problem, k, idx)
             out.append(
@@ -363,7 +388,7 @@ def validate(problem: TeamProblem) -> list:
                     "kernel-row",
                     (k,) + idx,
                     f"DM {k} kernel row at history {labels!r} sums to "
-                    f"{float(sums[b])!r} or has invalid entries",
+                    f"{float(sums[idx])!r} or has invalid entries",
                 )
             )
     c = problem.cost.table
@@ -400,13 +425,26 @@ def _action_factor(kernel: np.ndarray, policy: np.ndarray) -> np.ndarray:
     return g.reshape(policy.shape[:-2] + kernel.shape[:-1] + policy.shape[-1:])
 
 
+def _times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g * w, written into g when g already has the product's shape (no
+    axis of its kernel was cut), so dense kernels allocate once."""
+    if np.broadcast_shapes(g.shape, w.shape) == g.shape:
+        return np.multiply(g, w, out=g)
+    return g * w
+
+
+def _onto(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``w``, laid over a stored kernel's history axes, summed along the
+    axes the kernel has cut (kept at length 1)."""
+    cut = tuple(a for a in range(kernel.ndim - 1) if kernel.shape[a] < w.shape[a])
+    return w.sum(axis=cut, keepdims=True) if cut else w
+
+
 def _forward_law(prior: np.ndarray, kernels: Sequence, policies: Sequence) -> np.ndarray:
     """Law of (omega0, u1, ..., uk) for the first k = len(policies) DMs."""
     law = prior
     for kernel, policy in zip(kernels, policies):
-        g = _action_factor(kernel, policy)
-        g *= law[..., None]
-        law = g
+        law = _times(_action_factor(kernel, policy), law[..., None])
     return law
 
 
@@ -415,9 +453,7 @@ def _value_to_go(kernels: Sequence, policies: Sequence, cost: np.ndarray) -> np.
     len(policies) DMs follow ``policies``; ``kernels`` are theirs."""
     value = cost
     for kernel, policy in zip(reversed(kernels), reversed(policies)):
-        g = _action_factor(kernel, policy)
-        g *= value
-        value = g.sum(axis=-1)
+        value = _times(_action_factor(kernel, policy), value).sum(axis=-1)
     return value
 
 
@@ -435,7 +471,7 @@ def expected_cost(problem: TeamProblem, profile) -> float:
     sampling is involved.
     """
     mats = _policy_matrices(problem, profile)
-    kernels = [k.table for k in problem.kernels]
+    kernels = [_compact(k.table) for k in problem.kernels]
     return float(_chain_cost(problem.prior.mass, kernels, mats, problem.cost.table))
 
 
@@ -446,7 +482,7 @@ def expected_cost_batch(problem: TeamProblem, stacked_kernels: Sequence[np.ndarr
     length-B vector.  Same forward fold as ``expected_cost``, batched.
     """
     mats = [np.asarray(m, dtype=float) for m in stacked_kernels]
-    kernels = [k.table for k in problem.kernels]
+    kernels = [_compact(k.table) for k in problem.kernels]
     return _chain_cost(problem.prior.mass, kernels, mats, problem.cost.table)
 
 

@@ -26,6 +26,7 @@ from .model import (
     Pmf,
     TeamProblem,
     _chain_cost,
+    _compact,
     _history_labels,
     _policy_matrices,
     expected_cost,
@@ -36,11 +37,9 @@ def default_references(problem: TeamProblem) -> list:
     """Per DM, the uniform distribution over the union of its kernel
     rows' supports (all histories), so the ratio is defined everywhere."""
     refs = []
-    for k in range(1, problem.n_dms + 1):
-        table = problem.kernels[k - 1].table
-        support = (table > 0).reshape(-1, table.shape[-1]).any(axis=0)
-        mass = np.where(support, 1.0, 0.0)
-        refs.append(Pmf(problem.y_spaces[k - 1], mass / mass.sum()))
+    for kern, y in zip(problem.kernels, problem.y_spaces):
+        support = (_compact(kern.table) > 0).reshape(-1, kern.table.shape[-1]).any(axis=0)
+        refs.append(Pmf(y, support / support.sum()))
     return refs
 
 
@@ -51,7 +50,8 @@ class StaticReduction:
     ``weights[t]`` has the same shape as DM t+1's kernel table and holds
     f_t = (kernel row) / (reference mass), with 0/0 taken as 0.  For
     every positive-prior history, sum_y f_t(., y) Q_t(y) = 1 within
-    EQ_TOL by construction.
+    EQ_TOL by construction.  Like the kernel table, it is a read-only
+    broadcast view of rows stored only along the axes the kernel keeps.
     """
 
     problem: TeamProblem
@@ -61,10 +61,7 @@ class StaticReduction:
     def reweighted_kernels(self) -> list:
         """f_t * Q_t per DM: numerically the original kernel rows, used
         for the lazy reduced-cost contraction."""
-        out = []
-        for t, f in enumerate(self.weights):
-            out.append(f * self.references[t].mass)
-        return out
+        return [_compact(f) * q.mass for f, q in zip(self.weights, self.references)]
 
     def reduced_expected_cost(self, profile) -> float:
         """Expected cost of the reduced problem under a profile: the same
@@ -123,21 +120,12 @@ class StaticReduction:
         prior = Pmf(ex_space, prior.reshape(-1))
 
         y_sizes = [len(y) for y in problem.y_spaces]
+        idx = np.unravel_index(np.arange(n_ex), (len(problem.omega0), *y_sizes))
         kernels = []
-        for t in range(1, n + 1):
-            # point mass on coordinate t of the exogenous tuple
-            coords = np.zeros((n_ex, y_sizes[t - 1]))
-            idx = np.unravel_index(np.arange(n_ex), (len(problem.omega0), *y_sizes))
-            coords[np.arange(n_ex), idx[t]] = 1.0
-            shape = (
-                (n_ex,)
-                + tuple(len(problem.u_spaces[j]) for j in range(t - 1))
-                + (y_sizes[t - 1],)
-            )
-            table = np.broadcast_to(
-                coords.reshape((n_ex,) + (1,) * (t - 1) + (y_sizes[t - 1],)), shape
-            )
-            kernels.append(MeasurementKernel(t, table))
+        for t, ny in enumerate(y_sizes, start=1):
+            # point mass on coordinate t of the exogenous tuple, whatever the actions
+            rows = np.eye(ny)[idx[t]].reshape((n_ex,) + (1,) * (t - 1) + (ny,))
+            kernels.append(MeasurementKernel(t, np.broadcast_to(rows, (n_ex, *u_sizes[: t - 1], ny))))
 
         # cost over (omega, y1..yN, u1..uN), then flatten the exogenous part
         operands = [problem.cost.table, [0] + [n + 1 + j for j in range(n)]]
@@ -194,29 +182,26 @@ def static_reduce(
     pos_prior = problem.prior.mass > 0
     weights = []
     for t in range(1, problem.n_dms + 1):
-        table = problem.kernels[t - 1].table
+        full = problem.kernels[t - 1].table
+        table = _compact(full)
         q = refs[t - 1].mass
-        bad = (table > 0) & (q == 0.0)
-        bad[~pos_prior] = False  # unreachable exogenous points don't count
+        # unreachable exogenous points don't count
+        reach = pos_prior.reshape((-1,) + (1,) * (table.ndim - 2))
+        bad = (table > 0) & (q == 0.0) & reach[..., None]
         if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            idx = tuple(int(i) for i in np.argwhere(np.broadcast_to(bad, full.shape))[0])
             raise AbsoluteContinuityFailure(
                 t,
                 problem.y_spaces[t - 1].points[idx[-1]],
                 _history_labels(problem, t, idx[:-1]),
             )
-        f = np.divide(
-            table,
-            np.broadcast_to(q, table.shape),
-            out=np.zeros_like(table),
-            where=np.broadcast_to(q, table.shape) > 0,
-        )
+        f = np.divide(table, q, out=np.zeros(table.shape), where=q > 0)
         norm = (f * q).sum(axis=-1)
-        dev = float(np.abs(norm[pos_prior] - 1.0).max(initial=0.0))
+        dev = float(np.where(reach, np.abs(norm - 1.0), 0.0).max(initial=0.0))
         if dev > EQ_TOL:
             raise ValidationError(f"DM {t} weight normalization off by {dev!r}")
         f.setflags(write=False)
-        weights.append(f)
+        weights.append(np.broadcast_to(f, full.shape))
     return StaticReduction(problem, tuple(refs), tuple(weights))
 
 

@@ -28,7 +28,9 @@ from .model import (
     DeterministicProfile,
     RandomizedProfile,
     TeamProblem,
+    _compact,
     _forward_law,
+    _onto,
     _policy_matrices,
     _value_to_go,
     expected_cost,
@@ -86,11 +88,11 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
     chunk holds at most ``_CHUNK`` prefixes and, unless one prefix
     alone exceeds it, ``_SCAN_CELLS`` cells of laws and one-hot maps.
     Yields (prefix maps, table of shape (B, |Y_N|, |U_N|))."""
-    kernels = [k.table for k in problem.kernels]
+    kernels = [_compact(k.table) for k in problem.kernels]
     ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
     # (omega0, u1..u_{N-1}) x (y_N, u_N): kernel times cost, per history
     weights = (
-        kernels[-1].reshape(-1, ny, 1) * problem.cost.table.reshape(-1, 1, nu)
+        kernels[-1][..., None] * problem.cost.table[..., None, :]
     ).reshape(-1, ny * nu)
     eyes = [np.eye(len(u)) for u in problem.u_spaces[:-1]]
     spaces = problem.y_spaces[:-1], problem.u_spaces[:-1]
@@ -196,14 +198,15 @@ def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
     where DM i observes y, if it then plays u.  Summing the row minima
     gives the best-response value.  It is the forward law of DMs
     1..i-1, times DM i's kernel, contracted with the value-to-go of
-    DMs i+1..N folded backward from the cost.
+    DMs i+1..N folded backward from the cost; the product of law and
+    value-to-go is first summed over the history axes the kernel lacks.
     """
     mats = _policy_matrices(problem, profile)
-    kernels = [k.table for k in problem.kernels]
+    kernels = [_compact(k.table) for k in problem.kernels]
     law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
     value = _value_to_go(kernels[i:], mats[i:], problem.cost.table)
     kernel = kernels[i - 1]
-    weighted = law[..., None] * value
+    weighted = _onto(law[..., None] * value, kernel)
     return kernel.reshape(-1, kernel.shape[-1]).T @ weighted.reshape(-1, value.shape[-1])
 
 
@@ -211,10 +214,10 @@ def measurement_marginal(problem: TeamProblem, profile, i: int) -> np.ndarray:
     """Distribution of DM i's measurement (depends only on earlier DMs):
     the forward law of DMs 1..i-1 times DM i's kernel, summed."""
     mats = _policy_matrices(problem, profile)
-    kernels = [k.table for k in problem.kernels]
+    kernels = [_compact(k.table) for k in problem.kernels]
     law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
     kernel = kernels[i - 1]
-    return law.reshape(-1) @ kernel.reshape(-1, kernel.shape[-1])
+    return _onto(law, kernel).reshape(-1) @ kernel.reshape(-1, kernel.shape[-1])
 
 
 def best_response(

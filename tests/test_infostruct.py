@@ -27,7 +27,7 @@ from teamdec.infostruct import (
     sigma_field_of,
 )
 from teamdec.infostruct import test_conditional_independence as check_ci
-from teamdec.model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem
+from teamdec.model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem, _compact
 from teamdec.strategic import check_membership_LM, induce_LA
 
 from conftest import (
@@ -164,6 +164,70 @@ def test_affects_and_precedence_on_broadcast_vs_dynamic_kernels():
     assert affects(dyn, 1, 2)
     assert precedence_graph(static).edges == ()
     assert precedence_graph(dyn).edges == ((1, 2),)
+
+
+def varies_literal(table, axis) -> bool:
+    """Some two histories differing only on history axis ``axis`` have
+    different rows."""
+    for h in itertools.product(*map(range, table.shape[:-1])):
+        for v in range(table.shape[axis]):
+            other = h[:axis] + (v,) + h[axis + 1:]
+            if any(a != b for a, b in zip(table[h], table[other])):
+                return True
+    return False
+
+
+@settings(max_examples=80)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    n_omega=st.integers(1, 3),
+    sparse=st.booleans(),
+    dynamic=st.booleans(),
+    broadcast=st.booleans(),
+    nudge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stored_kernels_keep_the_table_and_affects_reads_their_shape(
+    dms, n_omega, sparse, dynamic, broadcast, nudge, seed
+):
+    """History axes, omega included, are made constant at random (by
+    np.broadcast_to, then copied unless ``broadcast``; a copy may have
+    its last entry moved by one ulp).  The kernel's table is the input
+    bit for bit, at its shape and read-only; its stored form keeps
+    exactly the axes along which rows vary, and ``affects`` and the
+    precedence edges equal the literal loop."""
+    y_sizes, u_sizes = zip(*dms)
+    if sparse:
+        base = sparse_team(seed, y_sizes, u_sizes, dynamic, True, n_omega)
+    else:
+        base = random_team(seed, n_omega, y_sizes, u_sizes, dynamic)
+    rng = np.random.default_rng(seed)
+    kernels, tables = [], []
+    for kern in base.kernels:
+        t = np.array(kern.table)
+        for a in range(t.ndim - 1):
+            if rng.uniform() < 0.4:
+                t = np.broadcast_to(t.take([0], axis=a), t.shape)
+        if not broadcast:
+            t = t.copy()
+            if nudge:
+                t.flat[-1] = np.nextafter(t.flat[-1], 2.0)
+        stored = MeasurementKernel(kern.dm, t)
+        assert stored.table.shape == t.shape and not stored.table.flags.writeable
+        assert np.ascontiguousarray(stored.table).tobytes() == np.ascontiguousarray(t).tobytes()
+        with pytest.raises(ValueError):
+            stored.table[(0,) * t.ndim] = 0.5
+        kept = [n > 1 for n in _compact(stored.table).shape[:-1]]
+        assert kept == [varies_literal(t, a) for a in range(t.ndim - 1)]
+        kernels.append(stored)
+        tables.append(t)
+    team = TeamProblem(base.omega0, base.prior, base.y_spaces, base.u_spaces, kernels, base.cost)
+    edges = []
+    for i in range(2, len(dms) + 1):
+        for k in range(1, i):
+            assert affects(team, k, i) == varies_literal(tables[i - 1], k)
+            edges += [(k, i)] if varies_literal(tables[i - 1], k) else []
+    assert precedence_graph(team).edges == tuple(sorted(edges, key=lambda e: (e[1], e[0])))
 
 
 def test_classify_static_and_nonclassical():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from teamdec.errors import (
     DimensionMismatch,
     ValidationError,
 )
+from teamdec.gallery import signaling
 from teamdec.model import (
     CostTable,
     DeterministicProfile,
@@ -151,6 +154,35 @@ def test_validate_flags_bad_kernel_row():
     )
     found = validate(prob)
     assert any(v.code == "kernel-row" and v.where[:2] == (1, 1) for v in found)
+
+
+def test_validate_reports_a_stored_row_at_every_history_it_covers():
+    """DM 2's rows repeat over omega and u1, so it stores one row per
+    distinct row.  A bad stored row is still reported once per full
+    history, in C order and with the same texts as for a kernel whose
+    rows all differ; the check copies no full-shape table."""
+    team = random_team(2, n_omega=3, u_sizes=(4, 2))
+    rows = np.array([[0.25, 0.75], [0.7, 0.7], [0.5, 0.5]])  # omega = 1 sums to 1.4
+    shared = np.broadcast_to(rows[:, None, :], (3, 4, 2))
+    dense = shared.copy()
+    dense[0, 1] = [0.3, 0.7]  # every row of omega = 0 now differs
+    reports = []
+    for table in (shared, dense):
+        prob = TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                           [team.kernels[0], MeasurementKernel(2, table)], team.cost)
+        reports.append([(v.code, v.where, v.message) for v in validate(prob)])
+    assert reports[0] == reports[1]
+    assert [w for _, w, _ in reports[0]] == [(2, 1, u) for u in range(4)]
+    assert "sums to 1.4 or has invalid entries" in reports[0][0][2]
+
+    problem = signaling().problem  # DM 2's kernel is 64 x 129 x 129 at full shape
+    tracemalloc.start()
+    try:
+        assert validate(problem) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < problem.kernels[1].table.size * 8 / 4
 
 
 def test_validate_flags_shape_mismatch_before_values():

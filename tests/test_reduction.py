@@ -17,6 +17,7 @@ from teamdec.model import (
     MeasurementKernel,
     Pmf,
     TeamProblem,
+    _compact,
     expected_cost,
     validate,
 )
@@ -47,6 +48,46 @@ def test_weights_reconstruct_the_kernels_exactly():
             # its reference
             norm = (red.weights[t] * red.references[t].mass).sum(axis=-1)
             assert np.max(np.abs(norm - 1.0)) < 1e-12
+
+
+def test_weights_are_stored_like_their_kernels():
+    """Weights of kernels with cut axes (static DMs, and DM 1 blind to
+    omega) are full-shape read-only views of rows stored at the
+    kernel's size, equal to the literal full-shape division."""
+    base = random_team(5, n_omega=3, y_sizes=(2, 3, 2), u_sizes=(2, 3, 2))
+    blind = np.broadcast_to(np.array([0.25, 0.75]), (3, 2))
+    team = TeamProblem(base.omega0, base.prior, base.y_spaces, base.u_spaces,
+                       [MeasurementKernel(1, blind)] + list(base.kernels[1:]), base.cost)
+    red = static_reduce(team)
+    for t, (kern, ref, f) in enumerate(zip(team.kernels, red.references, red.weights)):
+        q = ref.mass
+        table = np.asarray(kern.table)
+        want = np.zeros(table.shape)
+        np.divide(table, q, out=want, where=np.broadcast_to(q > 0, table.shape))
+        assert f.shape == team.kernel_shape(t + 1) and not f.flags.writeable
+        assert np.array_equal(f, want)
+        assert _compact(f).shape == _compact(kern.table).shape
+        assert red.reweighted_kernels()[t].shape == _compact(kern.table).shape
+    assert _compact(team.kernels[0].table).shape == (1, 2)
+    assert _compact(team.kernels[2].table).shape == (3, 1, 1, 2)
+
+
+def test_absolute_continuity_names_the_first_reachable_history_of_a_cut_kernel():
+    """DM 2's rows repeat over omega and u1, so its stored form has one
+    row; the failure still names the first positive-prior history."""
+    omega = FiniteSpace("w", ["a", "b", "c"])
+    y = FiniteSpace("y", [0, 1])
+    u = FiniteSpace("u", [0.0, 1.0])
+    row = np.array([0.5, 0.5])
+    team = TeamProblem(
+        omega, Pmf(omega, [0.0, 0.5, 0.5]), [y, y], [u, u],
+        [MeasurementKernel(1, np.broadcast_to(row, (3, 2))),
+         MeasurementKernel(2, np.broadcast_to(row, (3, 2, 2)))],
+        CostTable(np.ones((3, 2, 2))),
+    )
+    with pytest.raises(AbsoluteContinuityFailure) as exc:
+        static_reduce(team, [None, Pmf(y, [1.0, 0.0])])
+    assert (exc.value.dm, exc.value.y_label, exc.value.history) == (2, 1, ("b", 0.0))
 
 
 def test_default_references_cover_all_rows():

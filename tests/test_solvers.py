@@ -25,6 +25,7 @@ from teamdec.model import (
     expected_cost,
 )
 from teamdec import solvers
+from teamdec.gallery import signaling
 from teamdec.quadrature import StaticLQTeam
 from teamdec.solvers import (
     best_response,
@@ -37,6 +38,7 @@ from teamdec.solvers import (
     pbp_iterate,
     profile_values,
     response_table,
+    seeded_profiles,
 )
 
 from conftest import (
@@ -372,6 +374,49 @@ def test_measurement_marginal_matches_literal_summation():
                 want += p * k3[w, a1[y1], a2[y2], :]
     got = measurement_marginal(team, prof, 3)
     assert np.allclose(got, want, atol=1e-12)
+
+
+def full_kernel_response_table(problem, profile, i):
+    """response_table as it was written before kernels were stored
+    compact: every kernel contracted at its full history shape."""
+    mats = profile.matrices(problem)
+    kernels = [np.ascontiguousarray(k.table) for k in problem.kernels]
+
+    def factor(kernel, policy):
+        g = kernel.reshape(-1, kernel.shape[-1]) @ policy
+        return g.reshape(kernel.shape[:-1] + policy.shape[-1:])
+
+    law = problem.prior.mass
+    for kernel, policy in zip(kernels[: i - 1], mats[: i - 1]):
+        g = factor(kernel, policy)
+        g *= law[..., None]
+        law = g
+    value = problem.cost.table
+    for kernel, policy in zip(reversed(kernels[i:]), reversed(mats[i:])):
+        g = factor(kernel, policy)
+        g *= value
+        value = g.sum(axis=-1)
+    kernel = kernels[i - 1]
+    weighted = law[..., None] * value
+    return kernel.reshape(-1, kernel.shape[-1]).T @ weighted.reshape(-1, value.shape[-1])
+
+
+def test_response_table_moves_from_the_full_kernel_fold_only_in_last_digits():
+    """Declared output move: the law times the value-to-go is summed
+    over the axes a stored kernel lacks before its contraction, which
+    moves signaling's tables by at most 1e-14 of their largest entry.
+    Dense kernels cut nothing and give the same bits as before."""
+    problem = signaling().problem
+    for profile in seeded_profiles(problem, 3, 2):
+        for i in (1, 2):
+            want = full_kernel_response_table(problem, profile, i)
+            got = response_table(problem, profile, i)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    team = random_team(4, y_sizes=(2, 3, 2), u_sizes=(3, 2, 2), dynamic=True)
+    profile = random_profile(team, 4)
+    for i in (1, 2, 3):
+        want = full_kernel_response_table(team, profile, i)
+        assert np.array_equal(response_table(team, profile, i), want)
 
 
 def test_best_response_improves_and_respects_dead_rows():
