@@ -20,14 +20,15 @@ spaced numeric action grids so that index midpoints are value midpoints.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import MIDPOINT_TOL, STRICT_RATE
-from .errors import NonNumericActions, StaticRequired, ValidationError
+from .constants import MIDPOINT_TOL, STRICT_RATE, TABLE_CAP
+from .errors import CapExceeded, NonNumericActions, StaticRequired, ValidationError
 from .infostruct import (
     Partition,
     _observation,
@@ -138,6 +139,12 @@ def _offset_slices(n: int, h: int) -> tuple:
     return tuple(slice(lo + j * h, lo + j * h + m) for j in range(3))
 
 
+def _pair_count(shape: tuple) -> int:
+    """The pairs the scan visits, counted without scanning: points agreeing in parity
+    on every axis, as ceil(n_i / 2)^2 + floor(n_i / 2)^2 ordered pairs do on axis i."""
+    return (math.prod(((n + 1) // 2) ** 2 + (n // 2) ** 2 for n in shape) - math.prod(shape)) // 2
+
+
 def grid_convexity_test(
     values: np.ndarray,
     axes: Sequence,
@@ -162,6 +169,9 @@ def grid_convexity_test(
             f"table shape {shape} does not match axes "
             f"{tuple(len(g) for g in grids)}"
         )
+    pairs = _pair_count(shape)
+    if pairs > 50 * TABLE_CAP:  # at 4e7-1e8 pairs/s on 2 cores, a scan under the cap ends in ~25 s
+        raise CapExceeded(pairs, 50 * TABLE_CAP)
 
     min_margin = np.inf
     strict = True

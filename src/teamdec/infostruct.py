@@ -201,11 +201,10 @@ def information_nested(problem: TeamProblem, k: int, i: int) -> bool:
     n = problem.n_dms
     if not (1 <= k < i <= n):
         raise ValidationError(f"need 1 <= k < i <= {n}, got k={k}, i={i}")
-    pos = problem.prior.support()
-    sup_k = (problem.kernels[k - 1].table > 0.0)[pos]  # (pos, u1..u_{k-1}, y_k)
-    # DM k's rows do not see u_k..u_{i-1}: fold those axes of DM i's
-    sup_i = (problem.kernels[i - 1].table > 0.0)[pos].any(axis=tuple(range(k, i)))
-    C = sup_i.reshape(-1, sup_i.shape[-1]).T @ sup_k.reshape(-1, sup_k.shape[-1])
+    pos = problem.prior.mass > 0.0
+    sup_k, sup_i = (_compact(problem.kernels[d - 1].table) > 0.0 for d in (k, i))
+    # labels: omega 0, u_j j, y_k i, y_i i + 1; DM k's rows do not see u_k..u_{i-1}
+    C = np.einsum(pos, [0], sup_k, [*range(k), i], sup_i, [*range(i), i + 1], [i + 1, i])
     return bool((C.sum(axis=1) <= 1).all())
 
 

@@ -14,9 +14,9 @@ i.e. axis 0 is the exogenous point, DM k's measurement sits on axis
 
 Storage rule: a measurement kernel is stored at the size of what it
 depends on, every history axis along which its table is exactly constant
-cut to length 1; ``MeasurementKernel.table`` is a read-only broadcast
-view of it at the full shape.  The chain folds read the stored form
-(``_compact``) and sum over the cut axes before each contraction.
+cut to length 1.  Every computation in the package reads the stored rows
+(``_compact``); ``MeasurementKernel.table`` is the read-only full-shape
+view of them for readers outside the package.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class MeasurementKernel:
 
     Only the rows the kernel depends on are stored: each history axis
     along which the table is exactly constant is cut to length 1, and
-    ``table`` is a read-only broadcast view of the stored rows at the
-    full shape, equal to the input value for value.
+    ``table`` is the read-only full-shape view of the stored rows (they
+    themselves when nothing was cut), equal to the input value for value.
     """
 
     dm: int
@@ -149,13 +149,13 @@ class MeasurementKernel:
             raise ValidationError(f"dm index must be >= 1, got {dm}")
         t = np.atleast_1d(np.asarray(table, dtype=float))
         rows = _compact(t)  # a stride-0 axis is constant without a comparison
-        for a in range(rows.ndim - 1):
+        for a in [a for a in range(rows.ndim - 1) if rows.shape[a] > 1]:
             first = rows[(slice(None),) * a + (slice(0, 1),)]
-            if rows.shape[a] > 1 and (rows == first).all():
-                rows = first
+            rows = first if (rows == first).all() else rows
         rows = _readonly(rows.copy() if rows.size < t.size else rows)
         object.__setattr__(self, "dm", int(dm))
-        object.__setattr__(self, "table", np.broadcast_to(rows, t.shape))
+        full = rows if rows.shape == t.shape else np.broadcast_to(rows, t.shape)
+        object.__setattr__(self, "table", full)
 
 
 @dataclass(frozen=True)
@@ -501,12 +501,12 @@ def induced_joint(problem: TeamProblem, profile, cap: int = TABLE_CAP) -> np.nda
 
 
 def _full_joint(problem: TeamProblem, policies: Sequence, policy_axes) -> np.ndarray:
-    """prior x kernels x policies over every joint axis, where DM k's
-    policy table sits on the joint axes ``policy_axes(k)``."""
+    """prior x stored kernels (einsum broadcasts their cut axes) x policies
+    over every joint axis; DM k's policy sits on the joint axes ``policy_axes(k)``."""
     operands = [problem.prior.mass, [0]]
     for k in range(1, problem.n_dms + 1):
         kern_sub = [0] + [2 * j for j in range(1, k)] + [2 * k - 1]
-        operands += [problem.kernels[k - 1].table, kern_sub]
+        operands += [_compact(problem.kernels[k - 1].table), kern_sub]
         operands += [policies[k - 1], policy_axes(k)]
     return np.einsum(*operands, list(range(2 * problem.n_dms + 1)))
 

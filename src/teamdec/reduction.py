@@ -131,7 +131,7 @@ class StaticReduction:
         operands = [problem.cost.table, [0] + [n + 1 + j for j in range(n)]]
         for t in range(1, n + 1):
             sub = [0] + [n + 1 + j for j in range(t - 1)] + [t]
-            operands += [self.weights[t - 1], sub]
+            operands += [_compact(self.weights[t - 1]), sub]  # einsum broadcasts the cut axes
         out_sub = list(range(n + 1)) + [n + 1 + j for j in range(n)]
         c = np.einsum(*operands, out_sub)
         cost = CostTable(c.reshape((n_ex,) + c.shape[n + 1 :]))

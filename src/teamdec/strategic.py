@@ -35,6 +35,7 @@ from .model import (
     DeterministicProfile,
     RandomizedProfile,
     TeamProblem,
+    _compact,
     _full_joint,
     _masses,
     _readonly,
@@ -172,8 +173,8 @@ def check_membership_LR(measure: StrategicMeasure) -> MembershipVerdict:
     for k in range(1, n + 1):
         tail = tuple(range(2 * k + 1, 2 * n + 1))
         with_u = j.sum(axis=tail) if tail else j  # (.., y_k, u_k)
-        # the kernel (omega, u1..u_{k-1}, y_k), spread over the history's y-axes
-        kern = np.expand_dims(problem.kernels[k - 1].table, tuple(range(1, 2 * k - 1, 2)))
+        # the stored kernel (omega, u1..u_{k-1}, y_k), spread over the history's y-axes
+        kern = np.expand_dims(_compact(problem.kernels[k - 1].table), tuple(range(1, 2 * k - 1, 2)))
         for condition, dev, seen in (
             ("measurement", *_deviation(with_u.sum(axis=-1), kern)),  # (a) P(y_k | h)
             ("policy", *_deviation(with_u, aggregate_policy(measure, k))),  # (b) P(u_k | h, y_k)

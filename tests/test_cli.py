@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -837,6 +838,15 @@ def test_gallery_example1(capsys):
 
     # 2582 points per axis: the (3, n, n) cost would exceed TABLE_CAP
     code, report = run_cli(capsys, "gallery", "example1", "--step", "0.0003874")
+    assert code == 1
+    assert report["error"]["type"] == "CapExceeded"
+
+
+def test_gallery_example1_refuses_a_scan_over_the_pair_cap(capsys):
+    # 401 points per axis: 3.2e9 midpoint pairs, counted and refused before any scan
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "gallery", "example1", "--step", "0.0025")
+    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert report["error"]["type"] == "CapExceeded"
 

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamdec.constants import MIDPOINT_TOL, STRICT_RATE
@@ -29,6 +29,7 @@ from teamdec.convexity import (
     CellWitness,
     GridViolation,
     VerdictKind,
+    _pair_count,
     certify_team_convexity,
     conditional_cost,
     default_pair_candidates,
@@ -173,6 +174,22 @@ def test_grid_scan_matches_literal_pair_loop(
     rep = grid_convexity_test(values, axes, tol=tol)
     got = (rep.passed, rep.strict, rep.min_margin, rep.n_pairs, rep.violation)
     assert got == literal_midpoint_scan(values, axes, tol)
+
+
+@settings(max_examples=100)
+@given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple))
+@example(shape=(5,))
+@example(shape=(4, 7))
+@example(shape=(3, 1, 6))
+@example(shape=(6, 5, 2))
+@example(shape=(101, 101))
+def test_pair_count_matches_the_scan(shape):
+    """The closed-form count the pair cap reads is the number of pairs
+    the scan visits."""
+    rep = grid_convexity_test(np.zeros(shape), [np.arange(float(n)) for n in shape])
+    assert _pair_count(shape) == rep.n_pairs
+    if shape == (101, 101):
+        assert rep.n_pairs == 13_005_000
 
 
 # ------------------------------------------------------ conditional costs

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from teamdec.errors import (
     StaticRequired,
     ValidationError,
 )
+from teamdec.gallery import witsenhausen
 from teamdec.infostruct import (
     ISClass,
     Partition,
@@ -329,6 +331,20 @@ def test_information_nested_matches_the_atom_loop(dms, n_omega, dynamic, sharp, 
     for i in range(2, len(dms) + 1):
         for k in range(1, i):
             assert information_nested(team, k, i) == atoms_nested(team, k, i)
+
+
+def test_classify_reads_stored_kernel_rows():
+    """The reduced Witsenhausen problem stores DM 2's kernel at
+    (8448, 1, 33); at its full shape (8448, 17, 33) one support table of
+    bools alone holds 4.7 MB."""
+    problem = witsenhausen().materialized_reduction()[2]
+    tracemalloc.start()
+    try:
+        assert classify(problem) is ISClass.STATIC
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_sigma_field_requires_point_mass_kernels():

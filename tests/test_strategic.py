@@ -219,13 +219,24 @@ def test_induced_measures_pass_their_own_membership_checks():
         assert check_membership_LR(rnd).member
 
 
-def test_induced_measure_matches_expected_cost_and_prior():
-    team = random_team(3, dynamic=True)
-    prof = random_profile(team, 7)
+@settings(max_examples=100)
+@given(
+    dms=small_dms,
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_induced_measure_matches_expected_cost_and_prior(dms, n_omega, dynamic, zeros, seed):
+    """The joint builder reads stored kernels (static ones cut their action
+    axes): it matches the joint summed one realization at a time, and
+    its cost matches the chain core's."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    prof = random_profile(team, seed)
     m = induce_LA(team, prof)
-    assert m.expected_cost() == pytest.approx(
-        expected_cost(team, prof), abs=1e-12
-    )
+    assert np.abs(induced_joint(team, prof) - literal_joint(team, prof)).max() <= 1e-15
+    assert m.expected_cost() == pytest.approx(expected_cost(team, prof), abs=1e-12)
     assert np.allclose(m.exogenous_marginal(), team.prior.mass, atol=1e-12)
 
 
