@@ -72,7 +72,6 @@ from .model import (
     expected_cost,
     expected_cost_batch,
     induced_joint,
-    joint_axes,
     validate,
 )
 from .quadrature import (
@@ -100,7 +99,6 @@ from .solvers import (
     brute_force,
     check_krainak_inequality,
     check_stationarity,
-    iter_profiles,
     mixture_lp,
     pbp_iterate,
     response_table,

@@ -367,7 +367,7 @@ def cmd_gallery(args) -> dict:
         "verdict": bundle.verdict(),
         "joint_value": joint.value,
         "subsystem_values": list(subs),
-        "split_gap": bundle.split_gap(),
+        "split_gap": abs(joint.value - sum(subs)),
     }
 
 

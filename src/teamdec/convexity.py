@@ -175,15 +175,12 @@ def grid_convexity_test(
 
     min_margin = np.inf
     strict = True
-    n_pairs = 0
     first: Optional[GridViolation] = None
 
     for h in _half_offsets(shape):
         sa, sm, sb = zip(*(_offset_slices(n, x) for n, x in zip(shape, h)))
         fa, fm, fb = values[sa], values[sm], values[sb]
         gap = fm - 0.5 * (fa + fb)
-        n_pairs += gap.size
-
         margin = -gap
         min_margin = min(min_margin, float(margin.min()))
         if strict:
@@ -204,7 +201,7 @@ def grid_convexity_test(
 
     if not np.isfinite(min_margin):
         min_margin = 0.0
-    return GridConvexityReport(first is None, strict, float(min_margin), n_pairs, first)
+    return GridConvexityReport(first is None, strict, float(min_margin), pairs, first)
 
 
 @dataclass(frozen=True)

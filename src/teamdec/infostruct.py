@@ -67,14 +67,6 @@ class Partition:
             groups.setdefault(label_of(i), []).append(i)
         return Partition(ground, groups.values())
 
-    @staticmethod
-    def trivial(ground: FiniteSpace) -> "Partition":
-        return Partition(ground, [range(len(ground))])
-
-    @staticmethod
-    def discrete(ground: FiniteSpace) -> "Partition":
-        return Partition(ground, [[i] for i in range(len(ground))])
-
     def block_index(self) -> np.ndarray:
         """Array mapping each ground index to its block's position."""
         out = np.empty(len(self.ground), dtype=int)

@@ -22,7 +22,7 @@ view of them for readers outside the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class Pmf:
     def uniform(space: FiniteSpace) -> "Pmf":
         n = len(space)
         return Pmf(space, np.full(n, 1.0 / n))
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.mass > 0.0)
 
 
 def _compact(table: np.ndarray) -> np.ndarray:
@@ -251,15 +248,6 @@ class DeterministicProfile:
             arr.setflags(write=False)
             maps.append(arr)
         object.__setattr__(self, "actions", tuple(maps))
-
-    @staticmethod
-    def from_callables(problem: TeamProblem, fns: Sequence[Callable]) -> "DeterministicProfile":
-        """Build from per-DM functions mapping a y-label to a u-label."""
-        maps = []
-        for k, fn in enumerate(fns):
-            u = problem.u_spaces[k]
-            maps.append([u.index(fn(y)) for y in problem.y_spaces[k].points])
-        return DeterministicProfile(maps)
 
     def matrices(self, problem: TeamProblem) -> list:
         """One-hot (|Y_k|, |U_k|) stochastic matrices for this profile."""
@@ -425,14 +413,6 @@ def _action_factor(kernel: np.ndarray, policy: np.ndarray) -> np.ndarray:
     return g.reshape(policy.shape[:-2] + kernel.shape[:-1] + policy.shape[-1:])
 
 
-def _times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """g * w, written into g when g already has the product's shape (no
-    axis of its kernel was cut), so dense kernels allocate once."""
-    if np.broadcast_shapes(g.shape, w.shape) == g.shape:
-        return np.multiply(g, w, out=g)
-    return g * w
-
-
 def _onto(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """``w``, laid over a stored kernel's history axes, summed along the
     axes the kernel has cut (kept at length 1)."""
@@ -444,7 +424,7 @@ def _forward_law(prior: np.ndarray, kernels: Sequence, policies: Sequence) -> np
     """Law of (omega0, u1, ..., uk) for the first k = len(policies) DMs."""
     law = prior
     for kernel, policy in zip(kernels, policies):
-        law = _times(_action_factor(kernel, policy), law[..., None])
+        law = _action_factor(kernel, policy) * law[..., None]
     return law
 
 
@@ -453,7 +433,7 @@ def _value_to_go(kernels: Sequence, policies: Sequence, cost: np.ndarray) -> np.
     len(policies) DMs follow ``policies``; ``kernels`` are theirs."""
     value = cost
     for kernel, policy in zip(reversed(kernels), reversed(policies)):
-        value = _times(_action_factor(kernel, policy), value).sum(axis=-1)
+        value = (_action_factor(kernel, policy) * value).sum(axis=-1)
     return value
 
 
@@ -509,12 +489,3 @@ def _full_joint(problem: TeamProblem, policies: Sequence, policy_axes) -> np.nda
         operands += [_compact(problem.kernels[k - 1].table), kern_sub]
         operands += [policies[k - 1], policy_axes(k)]
     return np.einsum(*operands, list(range(2 * problem.n_dms + 1)))
-
-
-def joint_axes(problem: TeamProblem) -> dict:
-    """Names for the joint-table axes: 'omega0', 'y1', 'u1', ..."""
-    names = {"omega0": 0}
-    for k in range(1, problem.n_dms + 1):
-        names[f"y{k}"] = 2 * k - 1
-        names[f"u{k}"] = 2 * k
-    return names

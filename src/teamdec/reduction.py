@@ -12,6 +12,7 @@ profile.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -90,19 +91,14 @@ class StaticReduction:
         Its exogenous points are tuples (omega0, y1, ..., yN) under the
         product of prior and references; DM t observes coordinate t
         exactly; the cost is the original cost times all weights.
+        Raises CapExceeded when the largest table it builds, the cost or
+        one kernel's stored rows, would hold more than ``cap`` cells.
         """
         problem = self.problem
         n = problem.n_dms
         n_ex = self.exogenous_size()
         u_sizes = [len(u) for u in problem.u_spaces]
-        cells = n_ex
-        for s in u_sizes:
-            cells *= s
-        for t in range(1, n + 1):
-            k_cells = n_ex * len(problem.y_spaces[t - 1])
-            for s in u_sizes[: t - 1]:
-                k_cells *= s
-            cells = max(cells, k_cells)
+        cells = n_ex * max(math.prod(u_sizes), *(len(y) for y in problem.y_spaces))
         if cells > cap:
             raise CapExceeded(cells, cap)
 

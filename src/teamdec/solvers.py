@@ -124,14 +124,6 @@ def profile_values(problem: TeamProblem, count: int) -> np.ndarray:
     return np.concatenate(values)[:count] if values else np.empty(0)
 
 
-def iter_profiles(problem: TeamProblem):
-    """Yield every deterministic profile in lexicographic order."""
-    spaces, count = (problem.y_spaces, problem.u_spaces), problem.n_deterministic_profiles()
-    for first in range(0, count, _CHUNK):
-        for row in zip(*_profile_maps(*spaces, first, min(first + _CHUNK, count))):
-            yield DeterministicProfile(row)
-
-
 def seeded_profiles(problem: TeamProblem, seed: int, count: int) -> list:
     """``count`` deterministic profiles with uniform random action maps,
     drawn profile by profile and DM by DM from one seeded generator."""

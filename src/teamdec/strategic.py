@@ -41,7 +41,7 @@ from .model import (
     _readonly,
     induced_joint,
 )
-from .solvers import _profile_maps, iter_profiles
+from .solvers import _profile_maps
 
 _log = logging.getLogger(__name__)
 
@@ -235,17 +235,17 @@ def check_membership_LM(measure: StrategicMeasure) -> bool:
     return True
 
 
-def _profile_count(problem: TeamProblem, cap: int) -> int:
-    """The number of deterministic profiles, after checking that it is at
-    most ``cap`` and that their joints together hold at most TABLE_CAP
-    cells (CapExceeded otherwise)."""
+def _all_profile_maps(problem: TeamProblem, cap: int) -> list:
+    """Every deterministic profile's action maps (``_profile_maps``), after
+    checking that there are at most ``cap`` profiles and that their joints
+    together hold at most TABLE_CAP cells (CapExceeded otherwise)."""
     count = problem.n_deterministic_profiles()
     if count > cap:
         raise CapExceeded(count, cap)
     cells = count * math.prod(problem.joint_shape())
     if cells > TABLE_CAP:
         raise CapExceeded(cells, TABLE_CAP)
-    return count
+    return _profile_maps(problem.y_spaces, problem.u_spaces, 0, count)
 
 
 def enumerate_LA(problem: TeamProblem, cap: int = ENUM_CAP) -> list:
@@ -253,8 +253,8 @@ def enumerate_LA(problem: TeamProblem, cap: int = ENUM_CAP) -> list:
     (DM 1's map most significant; within a map, measurement index 0 most
     significant).  Raises CapExceeded when the count would exceed ``cap``,
     or when the joints together would hold more than TABLE_CAP cells."""
-    _profile_count(problem, cap)
-    return [induce_LA(problem, prof) for prof in iter_profiles(problem)]
+    maps = _all_profile_maps(problem, cap)
+    return [induce_LA(problem, DeterministicProfile(row)) for row in zip(*maps)]
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,8 @@ def find_nonconvexity_witness(
     measure is induced when a tested pair first needs it, so a search
     that stops early induces only the profiles it has mixed; the caps
     are checked for all of them before any is decoded or induced."""
-    count = _profile_count(problem, cap)
-    maps = _profile_maps(problem.y_spaces, problem.u_spaces, 0, count)
+    maps = _all_profile_maps(problem, cap)
+    count = problem.n_deterministic_profiles()
     measures = {}  # profile index -> its induced measure
 
     def measure(i: int) -> StrategicMeasure:

@@ -35,11 +35,13 @@ from teamdec.model import (
     Pmf,
     TeamProblem,
     Violation,
+    expected_cost,
 )
 from teamdec.probio import (
     json_text,
     load_problem,
     measure_to_dict,
+    problem_from_dict,
     problem_to_dict,
     save_problem,
 )
@@ -111,6 +113,26 @@ def signaling_chain_team():
         for b in range(2):
             cost[w, :, b] = float(w != b)
     return TeamProblem(omega, prior, [y1, y2], [u1, u2], [k1, k2], CostTable(cost))
+
+
+def test_package_and_cli_load_only_numpy_beyond_the_standard_library():
+    # numpy-only at runtime: every top-level module that importing the
+    # package and its CLI loads, past those loaded at interpreter start,
+    # is in the standard library, numpy or teamdec itself
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import teamdec, teamdec.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(teamdec.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert set(run.stdout.split()) <= {"numpy", "teamdec"}
+    assert "teamdec" in run.stdout.split()
 
 
 # --------------------------------------------------------------------------
@@ -476,6 +498,22 @@ def test_reduce_cap_skips_materialization(tmp_path, capsys):
     assert report["reduced_problem"] is None
     assert "exceeds cap" in report["reduced_skipped"]
     assert report["equivalence"]["equivalent"] is True
+
+
+def test_reduce_cap_counts_the_cost_and_the_stored_kernel_rows(tmp_path, capsys):
+    # the cost holds 27 * 4 cells; DM 2's full-shape kernel, never built, 162
+    team = random_team(5, y_sizes=(3, 3), dynamic=True)
+    path = write_team(tmp_path, "team.json", team)
+    code, report = run_cli(capsys, "reduce", path, "--cap", "107")
+    assert code == 0
+    assert report["reduced_skipped"] == "enumeration of 108 items exceeds cap 107"
+    code, report = run_cli(capsys, "reduce", path, "--cap", "130")
+    assert code == 0
+    reduced = problem_from_dict(report["reduced_problem"])
+    for prof in enumerate_profiles_literal(team):
+        assert expected_cost(reduced, prof) == pytest.approx(
+            expected_cost(team, prof), abs=1e-10
+        )
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 tables, conditional costs against manual summation, and the three-phase
 certificate on hand-built convex and non-convex teams."""
 
+import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from teamdec.convexity import (
     CellWitness,
     GridViolation,
     VerdictKind,
-    _pair_count,
     certify_team_convexity,
     conditional_cost,
     default_pair_candidates,
@@ -184,12 +185,16 @@ def test_grid_scan_matches_literal_pair_loop(
 @example(shape=(6, 5, 2))
 @example(shape=(101, 101))
 def test_pair_count_matches_the_scan(shape):
-    """The closed-form count the pair cap reads is the number of pairs
-    the scan visits."""
+    """The closed-form count the scan reports and the pair cap reads is
+    the number of midpoint pairs: two lattice points pair iff they agree
+    in parity on every axis, so each parity class of s points holds
+    C(s, 2) pairs."""
+    classes = collections.Counter(tuple(i % 2 for i in idx) for idx in np.ndindex(shape))
+    want = sum(math.comb(s, 2) for s in classes.values())
     rep = grid_convexity_test(np.zeros(shape), [np.arange(float(n)) for n in shape])
-    assert _pair_count(shape) == rep.n_pairs
+    assert rep.n_pairs == want
     if shape == (101, 101):
-        assert rep.n_pairs == 13_005_000
+        assert want == 13_005_000
 
 
 # ------------------------------------------------------ conditional costs
@@ -217,13 +222,13 @@ def test_conditional_cost_skips_zero_mass_blocks():
         u_grid=[-1.0, 0.0, 1.0],
         prior=[0.5, 0.5, 0.0],
     )
-    part = Partition.discrete(team.omega0)
+    part = Partition(team.omega0, [[0], [1], [2]])
     cond = conditional_cost(team, part)
     assert cond.skipped_blocks == (2,)
     assert cond.block_indices == (0, 1)
     smaller = FiniteSpace("g", [0, 1])
     with pytest.raises(ValidationError):
-        conditional_cost(team, Partition.discrete(smaller))
+        conditional_cost(team, Partition(smaller, [[0], [1]]))
 
 
 # --------------------------------------------------------- certification

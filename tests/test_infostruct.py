@@ -71,10 +71,9 @@ def test_partition_canonical_form_and_refines():
     g = FiniteSpace("g", list(range(4)))
     p = Partition(g, [[3, 1], [0], [2]])
     assert p.blocks == ((0,), (1, 3), (2,))
-    assert Partition.discrete(g).refines(p)
-    assert p.refines(Partition.trivial(g)) and not p.refines(
-        Partition.discrete(g)
-    )
+    discrete, trivial = Partition(g, [[0], [1], [2], [3]]), Partition(g, [range(4)])
+    assert discrete.refines(p)
+    assert p.refines(trivial) and not p.refines(discrete)
     with pytest.raises(ValidationError):
         Partition(g, [[0, 1], [1, 2, 3]])
     with pytest.raises(ValidationError):
@@ -156,7 +155,7 @@ def test_partition_ground_mismatch():
     a = FiniteSpace("a", [0, 1])
     b = FiniteSpace("b", [0, 2])
     with pytest.raises(GroundMismatch):
-        meet(Partition.trivial(a), Partition.trivial(b))
+        meet(Partition(a, [[0, 1]]), Partition(b, [[0, 1]]))
 
 
 def test_affects_and_precedence_on_broadcast_vs_dynamic_kernels():
@@ -294,7 +293,7 @@ def atoms_nested(problem, k, i):
     sup_k = problem.kernels[k - 1].table > 0.0
     u_sizes = [len(problem.u_spaces[j]) for j in range(i - 1)]
     paired = {}
-    for w in problem.prior.support():
+    for w in np.flatnonzero(problem.prior.mass > 0.0):
         for hist in itertools.product(*(range(s) for s in u_sizes)):
             vi = np.flatnonzero(sup_i[(w, *hist)])
             vk = np.flatnonzero(sup_k[(w, *hist[: k - 1])])

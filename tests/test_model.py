@@ -20,7 +20,6 @@ from teamdec.model import (
     expected_cost,
     expected_cost_batch,
     induced_joint,
-    joint_axes,
     validate,
 )
 
@@ -114,14 +113,6 @@ def test_induced_joint_respects_cap():
         induced_joint(team, random_profile(team, 0), cap=4)
 
 
-def test_joint_axes_layout():
-    team = random_team(1)
-    ax = joint_axes(team)
-    assert ax["omega0"] == 0
-    assert ax["y1"] == 1 and ax["u1"] == 2
-    assert ax["y2"] == 3 and ax["u2"] == 4
-
-
 def test_validate_flags_negative_cost_with_location():
     team = random_team(2)
     bad = team.cost.table.copy()
@@ -212,15 +203,6 @@ def test_profile_validation_errors():
             expected_cost(team, DeterministicProfile([[0, 0]] * count))
         with pytest.raises(DimensionMismatch):
             expected_cost(team, RandomizedProfile([np.eye(2)] * count))
-
-
-def test_deterministic_profile_from_callables():
-    team = random_team(0)
-    prof = DeterministicProfile.from_callables(
-        team, [lambda y: 1.0, lambda y: 0.0]
-    )
-    assert list(prof.actions[0]) == [1, 1]
-    assert list(prof.actions[1]) == [0, 0]
 
 
 def test_validate_messages_print_plain_numbers():

@@ -29,6 +29,7 @@ from teamdec.reduction import (
 )
 
 from conftest import (
+    enumerate_profiles_literal,
     naive_expected_cost,
     random_profile,
     random_randomized_profile,
@@ -256,6 +257,22 @@ def test_reduced_problem_respects_cap():
     team = random_team(7, dynamic=True)
     with pytest.raises(CapExceeded):
         static_reduce(team).reduced_problem(cap=5)
+
+
+def test_reduced_problem_cap_counts_the_tables_it_builds():
+    # 27 exogenous points: the cost holds 27 * 4 = 108 cells and each kernel
+    # stores 27 * 3 rows; DM 2's full-shape kernel (162 cells) is never built
+    team = random_team(5, y_sizes=(3, 3), dynamic=True)
+    red = static_reduce(team)
+    with pytest.raises(CapExceeded) as info:
+        red.reduced_problem(cap=107)
+    assert info.value.count == 108
+    reduced = red.reduced_problem(cap=130)
+    assert validate(reduced) == []
+    for prof in enumerate_profiles_literal(team):
+        assert expected_cost(reduced, prof) == pytest.approx(
+            expected_cost(team, prof), abs=1e-10
+        )
 
 
 def test_normalization_failure_prints_a_plain_number():

@@ -32,7 +32,6 @@ from teamdec.solvers import (
     brute_force,
     check_krainak_inequality,
     check_stationarity,
-    iter_profiles,
     measurement_marginal,
     mixture_lp,
     pbp_iterate,
@@ -65,15 +64,6 @@ def test_brute_force_matches_literal_scan():
         assert naive_expected_cost(team, res.profile) == pytest.approx(
             res.value, abs=1e-12
         )
-
-
-def test_brute_force_agrees_with_iter_profiles_order():
-    team = random_team(3, dynamic=True)
-    listed = list(iter_profiles(team))
-    literal = list(enumerate_profiles_literal(team))
-    assert len(listed) == len(literal)
-    for a, b in zip(listed, literal):
-        assert all(np.array_equal(x, y) for x, y in zip(a.actions, b.actions))
 
 
 def test_brute_force_tie_break_returns_first_profile():
