@@ -129,8 +129,8 @@ class MeasurementKernel:
 
     ``table`` has shape (|Omega0|, |U1|, ..., |U_{dm-1}|, |Y_dm|); the row
     for a history (omega0, u1, ..., u_{dm-1}) is the distribution of
-    y_dm given that history.  Rows are raw values here; ``validate``
-    reports rows that are not probability vectors.
+    y_dm given that history.  ``TeamProblem`` checks the shape, and
+    ``validate`` reports rows that are not probability vectors.
 
     Only the rows the kernel depends on are stored: each history axis
     along which the table is exactly constant is cut to length 1, and
@@ -157,8 +157,8 @@ class MeasurementKernel:
 
 @dataclass(frozen=True)
 class CostTable:
-    """Joint cost indexed by (omega0, u1, ..., uN).  Raw values; signs
-    and finiteness are checked by ``validate``."""
+    """Joint cost indexed by (omega0, u1, ..., uN).  ``TeamProblem``
+    checks the shape; ``validate`` reports non-finite or negative values."""
 
     table: np.ndarray = field(repr=False)
 
@@ -168,7 +168,9 @@ class CostTable:
 
 @dataclass(frozen=True)
 class TeamProblem:
-    """A finite N-decision-maker sequential team."""
+    """A finite N-decision-maker sequential team.  The constructor checks
+    its structure (counts, kernel labels and shapes, cost shape, prior
+    space) and raises at the first fault; ``validate`` reports values."""
 
     omega0: FiniteSpace
     prior: Pmf
@@ -195,6 +197,16 @@ class TeamProblem:
             raise DimensionMismatch(
                 f"{len(self.kernels)} kernels vs {len(self.y_spaces)} DMs"
             )
+        for k, kern in enumerate(self.kernels, 1):
+            if kern.dm != k:
+                raise ValidationError(f"kernel at position {k} is labeled dm={kern.dm}")
+            want = self.kernel_shape(k)
+            if kern.table.shape != want:
+                raise DimensionMismatch(f"DM {k} kernel shape {kern.table.shape} != {want}")
+        if cost.table.shape != self.cost_shape():
+            raise DimensionMismatch(f"cost shape {cost.table.shape} != {self.cost_shape()}")
+        if prior.space.points != omega0.points:
+            raise ValidationError(f"prior is on {prior.space.name!r}, not on {omega0.name!r}")
 
     @property
     def n_dms(self) -> int:
@@ -309,55 +321,13 @@ class Violation:
 
 
 def validate(problem: TeamProblem) -> list:
-    """Check every type invariant of the problem; empty list iff valid.
-
-    Shape violations are reported first since value checks on misshapen
-    tables would be meaningless.
-    """
+    """The value faults of a problem, whose structure its constructor has
+    checked: each full history whose kernel row is not a probability
+    vector (``kernel-row``), then the first non-finite cost
+    (``cost-nonfinite``) or else the first negative one (``cost-negative``).
+    Empty iff the problem is valid."""
     out = []
-    n = problem.n_dms
-    for k in range(1, n + 1):
-        kern = problem.kernels[k - 1]
-        if kern.dm != k:
-            out.append(
-                Violation(
-                    "kernel-order",
-                    (k,),
-                    f"kernel at position {k} is labeled dm={kern.dm}",
-                )
-            )
-        want = problem.kernel_shape(k)
-        if kern.table.shape != want:
-            out.append(
-                Violation(
-                    "kernel-shape",
-                    (k,),
-                    f"DM {k} kernel shape {kern.table.shape} != {want}",
-                )
-            )
-    if problem.cost.table.shape != problem.cost_shape():
-        out.append(
-            Violation(
-                "cost-shape",
-                (),
-                f"cost shape {problem.cost.table.shape} != {problem.cost_shape()}",
-            )
-        )
-    if problem.prior.space is not problem.omega0 and (
-        problem.prior.space.points != problem.omega0.points
-    ):
-        out.append(
-            Violation(
-                "prior-space",
-                (),
-                f"prior is on {problem.prior.space.name!r}, not on "
-                f"{problem.omega0.name!r}",
-            )
-        )
-    if out:
-        return out
-
-    for k in range(1, n + 1):
+    for k in range(1, problem.n_dms + 1):
         table = problem.kernels[k - 1].table
         rows = _compact(table)  # each stored row is checked once, then reported per history
         sums = rows.sum(axis=-1)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import MalformedAnnotation, ValidationError
 from .infostruct import SubsystemAnnotation
-from .model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem
+from .model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem, _compact
 from .strategic import StrategicMeasure, _joint_spaces
 
 SEP = "|"
@@ -279,11 +279,14 @@ def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
 
     def kernel_dict(k: int) -> dict:
         table = problem.kernels[k - 1].table
+        stored = _compact(table)
         y_labels = [str(p) for p in problem.y_spaces[k - 1].points]
-        rows = table.reshape(-1, table.shape[-1]).tolist()
+        rows = stored.reshape(-1, table.shape[-1]).tolist()
+        at = np.arange(len(rows)).reshape(stored.shape[:-1])
+        at = np.broadcast_to(at, table.shape[:-1]).reshape(-1).tolist()
         return {
-            key: {y: p for y, p in zip(y_labels, row) if p != 0.0}
-            for key, row in zip(_keys(history[:k]), rows)
+            key: {y: p for y, p in zip(y_labels, rows[i]) if p != 0.0}
+            for key, i in zip(_keys(history[:k]), at)
         }
 
     doc = {

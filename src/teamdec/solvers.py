@@ -36,9 +36,8 @@ from .model import (
     expected_cost,
 )
 
-_CHUNK = 2048
-# cells of laws and one-hot maps one chunk of the prefix scan may hold:
-# 1/64 of the largest table a call may build, 2.5 MB of floats
+# cells of laws, one-hot maps and prefix tables one chunk of the prefix
+# scan may hold: 1/64 of the largest table a call may build, 2.5 MB of floats
 _SCAN_CELLS = TABLE_CAP // 64
 _MAX_SWEEPS = 200  # PBP sweep budget; not a tolerance, so not in tolerances()
 _log = logging.getLogger(__name__)
@@ -84,9 +83,9 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
     law of (omega0, u1, ..., u_{N-1}) times DM N's kernel and the cost,
     one matmul per chunk.  Row minima give DM N's best map in closed
     form, so memory scales with the prefix law (plus one fixed weight
-    table over the history, y_N and u_N), not with the profiles.  A
-    chunk holds at most ``_CHUNK`` prefixes and, unless one prefix
-    alone exceeds it, ``_SCAN_CELLS`` cells of laws and one-hot maps.
+    table over the history, y_N and u_N), not with the profiles.  Unless
+    one prefix alone exceeds it, a chunk holds at most ``_SCAN_CELLS``
+    cells of laws, one-hot maps and prefix tables.
     Yields (prefix maps, table of shape (B, |Y_N|, |U_N|))."""
     kernels = [_compact(k.table) for k in problem.kernels]
     ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
@@ -96,8 +95,8 @@ def _prefix_tables(problem: TeamProblem, count: int, start: int = 0):
     ).reshape(-1, ny * nu)
     eyes = [np.eye(len(u)) for u in problem.u_spaces[:-1]]
     spaces = problem.y_spaces[:-1], problem.u_spaces[:-1]
-    cells = weights.shape[0] + sum(len(y) * len(u) for y, u in zip(*spaces))
-    chunk = max(1, min(_CHUNK, _SCAN_CELLS // cells))
+    cells = weights.shape[0] + ny * nu + sum(len(y) * len(u) for y, u in zip(*spaces))
+    chunk = max(1, _SCAN_CELLS // cells)
     for first in range(start, count, chunk):
         maps = _profile_maps(*spaces, first, min(first + chunk, count))
         law = _forward_law(

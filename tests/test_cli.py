@@ -789,6 +789,15 @@ def test_gallery_signaling_zero_encoder(capsys):
     assert report["state_variance"] == 25.0
 
 
+def test_gallery_signaling_refuses_an_unknown_check(capsys):
+    code, report = run_cli(capsys, "gallery", "signaling", "--nodes", "16", "--check", "bogus")
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": "unknown signaling check 'bogus'",
+    }
+
+
 def test_gallery_signaling_default_search(capsys):
     code, report = run_cli(capsys, "gallery", "signaling", "--nodes", "16")
     assert code == 0

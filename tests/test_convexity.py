@@ -260,6 +260,20 @@ def test_certify_convex_on_quadratic_tracking():
         assert policy_midpoint_test(team, pa, pb).violation <= 1e-9
 
 
+def test_certify_convex_notes_the_zero_mass_join_blocks_it_skips():
+    grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    team = both_see_state_team(
+        quadratic_tracking_costs([-1.0, 0.0, 1.0], grid),
+        omega_points=[-1.0, 0.0, 1.0],
+        u_grid=grid,
+        prior=[0.5, 0.0, 0.5],
+    )
+    verdict = certify_team_convexity(team)
+    assert verdict.kind is VerdictKind.CONVEX
+    assert [rec.block_index for rec in verdict.certificate] == [0, 2]
+    assert verdict.notes == ("1 zero-mass join blocks skipped",)
+
+
 def test_certify_not_convex_with_cell_witness_and_replay():
     grid = [-1.0, 0.0, 1.0]
     w_pts = [0.0, 1.0]
@@ -455,3 +469,27 @@ def test_default_pair_candidates_mirror_structure():
         team.cost,
     )
     assert default_pair_candidates(relabeled) == []
+
+
+def test_default_pair_candidates_skip_thresholds_on_non_numeric_measurements():
+    """Threshold profiles need numeric measurement labels; without them
+    the candidates are the seeded random ones alone, the last 2 x 3 of
+    the 24 the numeric labels give."""
+    team = asymmetric_coupling_team()
+    relabeled = TeamProblem(
+        team.omega0,
+        team.prior,
+        [FiniteSpace("y1", ["lo", "hi"]), team.y_spaces[1]],
+        team.u_spaces,
+        team.kernels,
+        team.cost,
+    )
+    pairs = default_pair_candidates(relabeled, seed=0, n_random=2)
+    want = default_pair_candidates(team, seed=0, n_random=2)[-6:]
+    assert len(pairs) == 6
+    assert all(
+        np.array_equal(x, y)
+        for got, ref in zip(pairs, want)
+        for a, b in zip(got, ref)
+        for x, y in zip(a.actions, b.actions)
+    )

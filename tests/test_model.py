@@ -177,18 +177,60 @@ def test_validate_reports_a_stored_row_at_every_history_it_covers():
 
 
 def test_validate_flags_shape_mismatch_before_values():
+    """A misshapen kernel is refused when the problem is built, before any
+    value is looked at: its rows here sum to 1.4 and the cost is negative."""
     team = random_team(2)
-    wrong = MeasurementKernel(1, np.full((2, 2), 0.5))
-    prob = TeamProblem(
-        team.omega0,
-        team.prior,
-        team.y_spaces,
-        team.u_spaces,
-        [wrong, team.kernels[1]],
-        team.cost,
-    )
+    wrong = MeasurementKernel(1, np.full((2, 2), 0.7))
+    with pytest.raises(DimensionMismatch) as err:
+        TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                    [wrong, team.kernels[1]], CostTable(-team.cost.table))
+    assert str(err.value) == "DM 1 kernel shape (2, 2) != (3, 2)"
+
+
+def test_team_problem_refuses_a_mislabeled_kernel():
+    team = random_team(2)
+    with pytest.raises(ValidationError) as err:
+        TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                    team.kernels[::-1], team.cost)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "kernel at position 1 is labeled dm=2"
+
+
+def test_team_problem_refuses_a_misshapen_cost():
+    team = random_team(2)
+    with pytest.raises(DimensionMismatch) as err:
+        TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                    team.kernels, CostTable(np.zeros((3, 2))))
+    assert str(err.value) == "cost shape (3, 2) != (3, 2, 2)"
+
+
+def test_team_problem_refuses_a_prior_on_another_space():
+    team = random_team(2)
+    other = FiniteSpace("v", ["a", "b", "c"])
+    with pytest.raises(ValidationError) as err:
+        TeamProblem(team.omega0, Pmf.uniform(other), team.y_spaces, team.u_spaces,
+                    team.kernels, team.cost)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "prior is on 'v', not on 'w'"
+    # a prior on an equal copy of the space is on the same space
+    copy = FiniteSpace("w2", team.omega0.points)
+    prob = TeamProblem(team.omega0, Pmf(copy, team.prior.mass), team.y_spaces,
+                       team.u_spaces, team.kernels, team.cost)
+    assert validate(prob) == []
+
+
+def test_validate_flags_the_first_nonfinite_cost_over_a_negative_one():
+    team = random_team(2)
+    cost = team.cost.table.copy()
+    cost[0, 0, 0] = -1.0
+    cost[1, 1, 0] = np.inf
+    cost[2, 0, 1] = np.nan
+    prob = TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                       team.kernels, CostTable(cost))
     found = validate(prob)
-    assert [v.code for v in found] == ["kernel-shape"]
+    assert [(v.code, tuple(map(int, v.where)), v.message) for v in found] == [
+        ("cost-nonfinite", (1, 1, 0), "cost has a non-finite entry")
+    ]
 
 
 def test_profile_validation_errors():

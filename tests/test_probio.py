@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,42 @@ def test_writer_matches_a_per_cell_writer_and_round_trips(
     assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert_problems_equal(problem, problem_from_dict(doc))
     assert_problems_equal(problem, problem_from_dict(json.loads(json.dumps(doc))))
+
+
+def _peak(f):
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_reads_stored_kernel_rows():
+    """DM 2 sees omega only: its kernel stores 100 point-mass rows, and
+    the document holds one per (omega, u1), 5000 in all.  The writer's
+    peak stays below half that of one full-shape ``tolist`` of the kernel
+    (about 2.5 MB against 13 MB), and every history gets a row dict of
+    its own."""
+    omega = FiniteSpace("w", range(100))
+    u1, u2 = FiniteSpace("u1", range(50)), FiniteSpace("u2", range(2))
+    y1, y2 = FiniteSpace("y1", [0]), FiniteSpace("y2", range(64))
+    rows = np.eye(64)[np.arange(100) % 64]
+    problem = TeamProblem(
+        omega, Pmf.uniform(omega), [y1, y2], [u1, u2],
+        [MeasurementKernel(1, np.ones((100, 1))),
+         MeasurementKernel(2, np.broadcast_to(rows[:, None], (100, 50, 64)))],
+        CostTable(np.ones((100, 50, 2))),
+    )
+    full = problem.kernels[1].table
+    _, full_peak = _peak(lambda: full.reshape(-1, 64).tolist())
+    doc, peak = _peak(lambda: problem_to_dict(problem))
+    assert peak < full_peak / 2
+    assert json.dumps(doc) == json.dumps(literal_problem_doc(problem))
+    section = doc["kernels"][1]
+    assert len(section) == 5000
+    assert len({id(row) for row in section.values()}) == 5000
+    section["0|0"]["1"] = 0.5
+    assert section["0|1"] == {"0": 1.0}
 
 
 def test_problem_file_roundtrip_digest_and_determinism(tmp_path):

@@ -46,6 +46,7 @@ from conftest import (
     random_profile,
     random_randomized_profile,
     random_team,
+    sparse_team,
 )
 
 
@@ -210,9 +211,11 @@ def test_prefix_scan_answers_do_not_depend_on_the_chunk(monkeypatch):
         assert profile_values(team, len(want)) == pytest.approx(want, abs=1e-12)
 
 
-def test_brute_force_logs_its_scan(caplog):
-    # 4096 prefixes of DM 1 span two chunks; DM 2 has one action
+def test_brute_force_logs_its_scan(caplog, monkeypatch):
+    # 4096 prefixes of DM 1, each 29 cells (4 law, 1 table, 24 one-hot),
+    # span two chunks of 2048 under a budget of 2048 * 29 cells; DM 2 has one action
     team = random_team(6, n_omega=2, y_sizes=(12, 1), u_sizes=(2, 1), dynamic=True)
+    monkeypatch.setattr(solvers, "_SCAN_CELLS", 2048 * 29)
     with caplog.at_level(logging.DEBUG, logger="teamdec.solvers"):
         res = brute_force(team)
     assert [r.getMessage() for r in caplog.records] == [
@@ -435,6 +438,38 @@ def test_pbp_descends_to_a_person_by_person_optimum():
             assert float(table.min(axis=1).sum()) >= res.value - 1e-10
         # person-by-person optima are no better than the global optimum
         assert res.value >= brute_force(team).value - 1e-12
+
+
+@settings(max_examples=100)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3)
+    .filter(lambda dms: max(u ** y for y, u in dms) <= 27),
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pbp_ends_where_no_literal_single_dm_deviation_improves(
+    dms, n_omega, dynamic, zeros, seed
+):
+    """Against an oracle PBP does not run: every map of one DM, written
+    out with itertools and priced by literal summation, leaves the end
+    value V where it is, up to TIE_TOL * max(1, |V|); the trace never
+    rises by more than that rounding slack."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    res = pbp_iterate(team)
+    assert res.converged
+    for before, after in zip(res.trace, res.trace[1:]):
+        assert after <= before + TIE_TOL * max(1.0, abs(before))
+    slack = TIE_TOL * max(1.0, abs(res.value))
+    assert abs(naive_expected_cost(team, res.profile) - res.value) <= slack
+    for i, (ny, nu) in enumerate(dms):
+        for m in itertools.product(range(nu), repeat=ny):
+            actions = list(res.profile.actions)
+            actions[i] = np.array(m, dtype=int)
+            deviation = naive_expected_cost(team, DeterministicProfile(actions))
+            assert deviation >= res.value - slack
 
 
 def test_pbp_started_at_the_optimum_stays_there():

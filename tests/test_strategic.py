@@ -771,6 +771,20 @@ def test_relaxed_class_rejects_cross_measurement_policies():
                                       random_profile(random_team(1, dynamic=True), 1)))
 
 
+def test_relaxed_class_rejects_a_wrong_measurement_marginal():
+    """Each DM acts on its own measurement, so the conditional
+    independence holds, but omega is drawn from a uniform prior in place
+    of the team's: only the (omega, y1, y2) marginal is wrong."""
+    team = random_team(11)
+    uniform = TeamProblem(team.omega0, Pmf.uniform(team.omega0), team.y_spaces,
+                          team.u_spaces, team.kernels, team.cost)
+    joint = induced_joint(uniform, random_profile(team, 0))
+    assert check_membership_LM(StrategicMeasure(uniform, joint))
+    assert literal_in_LM(uniform, joint)[0]
+    assert not check_membership_LM(StrategicMeasure(team, joint))
+    assert not literal_in_LM(team, joint)[0]
+
+
 def literal_in_LM(problem, joint, tol=EQ_TOL):
     """The relaxed class by a loop over measurement tuples: the (omega,
     y1..yN) marginal against prior times kernel rows, and, with u_k
