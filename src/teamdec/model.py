@@ -339,7 +339,7 @@ def validate(problem: TeamProblem) -> list:
         hist_shape = table.shape[:-1]
         sums = np.broadcast_to(sums, hist_shape)
         for b in np.flatnonzero(np.broadcast_to(bad, hist_shape)):
-            idx = np.unravel_index(b, hist_shape)
+            idx = tuple(map(int, np.unravel_index(b, hist_shape)))
             labels = _history_labels(problem, k, idx)
             out.append(
                 Violation(
@@ -351,7 +351,7 @@ def validate(problem: TeamProblem) -> list:
             )
     c = problem.cost.table
     if not np.all(np.isfinite(c)):
-        where = np.unravel_index(int(np.argmax(~np.isfinite(c))), c.shape)
+        where = tuple(map(int, np.unravel_index(int(np.argmax(~np.isfinite(c))), c.shape)))
         out.append(Violation("cost-nonfinite", where, "cost has a non-finite entry"))
     elif np.any(c < 0):
         where = tuple(map(int, np.unravel_index(int(np.argmax(c < 0)), c.shape)))

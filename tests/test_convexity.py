@@ -5,6 +5,7 @@ certificate on hand-built convex and non-convex teams."""
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from teamdec.errors import (
     StaticRequired,
     ValidationError,
 )
+from teamdec import solvers
 from teamdec.infostruct import Partition, meet, sigma_field_of
 from teamdec.model import (
     CostTable,
@@ -29,6 +31,7 @@ from teamdec.model import (
 )
 from teamdec.convexity import (
     CellWitness,
+    GridConvexityReport,
     GridViolation,
     VerdictKind,
     certify_team_convexity,
@@ -142,18 +145,9 @@ def literal_midpoint_scan(values, axes, tol):
     return passed, strict, min_margin, n_pairs, first
 
 
-@settings(max_examples=150)
-@given(
-    shape=st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
-    kind=st.sampled_from(["random", "constant", "convex", "concave"]),
-    curvature=st.sampled_from([1e-9, 1.0]),
-    half_steps=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-    tol=st.sampled_from([MIDPOINT_TOL, 0.05]),
-)
-def test_grid_scan_matches_literal_pair_loop(
-    shape, kind, curvature, half_steps, seed, tol
-):
+def lattice_table(shape, kind, curvature, half_steps, seed):
+    """Axes and values for the scan tests: random, constant, a convex or
+    concave quadratic, or the convex one with a single spike planted."""
     rng = np.random.default_rng(seed)
     if half_steps:
         # squared distance exactly 1 at unit half-offsets: a constant
@@ -171,10 +165,95 @@ def test_grid_scan_matches_literal_pair_loop(
             curvature * rng.uniform(0.5, 2) * (m - rng.uniform(-1, 1)) ** 2
             for m in mesh
         )
-        values = quad if kind == "convex" else -quad
+        values = -quad if kind == "concave" else quad
+        if kind == "spike":
+            # every pair around the spike fails, many of them from one a
+            values[tuple(int(rng.integers(n)) for n in shape)] += rng.uniform(0.1, 2)
+    return axes, values
+
+
+@settings(max_examples=150)
+@given(
+    # leading axes up to 7, the batched last axis up to 9
+    shape=st.tuples(st.lists(st.integers(1, 7), max_size=2), st.integers(1, 9)).map(
+        lambda t: (*t[0], t[1])
+    ),
+    kind=st.sampled_from(["random", "constant", "convex", "concave", "spike"]),
+    curvature=st.sampled_from([1e-9, 1.0]),
+    half_steps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([MIDPOINT_TOL, 0.05]),
+)
+@example(shape=(1,), kind="random", curvature=1.0, half_steps=False, seed=0, tol=MIDPOINT_TOL)
+@example(shape=(2,), kind="concave", curvature=1.0, half_steps=True, seed=1, tol=MIDPOINT_TOL)
+@example(shape=(9,), kind="spike", curvature=1.0, half_steps=False, seed=2, tol=MIDPOINT_TOL)
+@example(shape=(2, 9), kind="spike", curvature=1e-9, half_steps=True, seed=3, tol=MIDPOINT_TOL)
+@example(shape=(3, 8), kind="spike", curvature=1.0, half_steps=False, seed=4, tol=0.05)
+@example(shape=(1, 3, 9), kind="spike", curvature=1.0, half_steps=True, seed=5, tol=MIDPOINT_TOL)
+@example(shape=(4, 2, 7), kind="concave", curvature=1e-9, half_steps=False, seed=6, tol=MIDPOINT_TOL)
+def test_grid_scan_matches_literal_pair_loop(
+    shape, kind, curvature, half_steps, seed, tol
+):
+    axes, values = lattice_table(shape, kind, curvature, half_steps, seed)
     rep = grid_convexity_test(values, axes, tol=tol)
     got = (rep.passed, rep.strict, rep.min_margin, rep.n_pairs, rep.violation)
     assert got == literal_midpoint_scan(values, axes, tol)
+
+
+def test_grid_scan_answers_do_not_depend_on_the_chunk(monkeypatch):
+    # two spikes: the first failing pair through (1, 1), ((0, 0), (2, 2)),
+    # comes from a later batch than one through (0, 7) in row 0
+    u = np.arange(9.0)
+    two = (u[:3, None] ** 2 + u[None, :] ** 2).copy()
+    two[0, 7] += 5.0
+    two[1, 1] += 5.0
+    tables = [
+        ([u[:3], u], two),
+        lattice_table((5, 9), "spike", 1.0, False, 7),
+        lattice_table((3, 4, 7), "random", 1.0, True, 8),
+        lattice_table((2, 3, 6), "convex", 1e-9, True, 9),
+        lattice_table((9,), "spike", 1.0, True, 10),
+    ]
+    want = [grid_convexity_test(values, axes) for axes, values in tables]
+    assert want == [
+        GridConvexityReport(*literal_midpoint_scan(values, axes, MIDPOINT_TOL))
+        for axes, values in tables
+    ]
+    assert want[0].violation.index_a == (0, 0) and want[0].violation.index_b == (2, 2)
+    assert any(rep.strict for rep in want)
+    # the scan takes an eighth of the budget: one midpoint a chunk, one
+    # 9 x 9 row of the 5 x 9 table a chunk, a few rows
+    for budget in (1, 8 * 81, 8000):
+        monkeypatch.setattr(solvers, "_SCAN_CELLS", budget)
+        assert [grid_convexity_test(values, axes) for axes, values in tables] == want
+
+
+def test_grid_scan_memory_stays_within_the_cell_budget():
+    # 151 x 151: about 6.5e7 pairs, under the pair cap; all of them at
+    # once would be 520 MB of gaps
+    u = np.linspace(0.0, 1.0, 151)
+    # margins above the strictness threshold but below its batch bound,
+    # so chunks holding short pairs take the exact strictness test
+    strict = 1e-8 * (u[:, None] ** 2 + u[None, :] ** 2)
+    spiked = strict.copy()
+    spiked[75, 75] += 1.0  # a violation in every batch that reaches it
+    # one axis of 5001 points: its single row of midpoints times offsets
+    # alone would be 100 MB, so the chunks split the midpoints
+    line = np.linspace(0.0, 1.0, 5001)
+    cases = [
+        (strict, [u, u], 64_980_000, True),
+        (spiked, [u, u], 64_980_000, False),
+        (1e-8 * line**2, [line], 6_250_000, True),
+    ]
+    for values, axes, pairs, is_strict in cases:
+        tracemalloc.start()
+        try:
+            rep = grid_convexity_test(values, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.n_pairs, rep.strict) == (pairs, is_strict)
+        assert peak < 2 * 8 * solvers._SCAN_CELLS
 
 
 @settings(max_examples=100)

@@ -145,6 +145,7 @@ def test_validate_flags_bad_kernel_row():
     )
     found = validate(prob)
     assert any(v.code == "kernel-row" and v.where[:2] == (1, 1) for v in found)
+    assert all(type(x) is int for v in found for x in v.where)
 
 
 def test_validate_reports_a_stored_row_at_every_history_it_covers():
@@ -228,9 +229,10 @@ def test_validate_flags_the_first_nonfinite_cost_over_a_negative_one():
     prob = TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
                        team.kernels, CostTable(cost))
     found = validate(prob)
-    assert [(v.code, tuple(map(int, v.where)), v.message) for v in found] == [
+    assert [(v.code, v.where, v.message) for v in found] == [
         ("cost-nonfinite", (1, 1, 0), "cost has a non-finite entry")
     ]
+    assert all(type(x) is int for x in found[0].where)
 
 
 def test_profile_validation_errors():
