@@ -195,6 +195,7 @@ def grid_convexity_test(
     of the endpoint values by more than ``tol``.  The report also states
     whether the margins were strict at rate STRICT_RATE per squared
     distance (informational only; certification never requires it).
+    A table with a NaN or infinite value is refused (ValidationError).
     A pair is (a, a + 2h) with midpoint a + h.  Python loops over the
     half-offsets h' of the leading axes only; each batch takes every
     last-axis offset h_d at once from windows of the last axis, padded
@@ -210,6 +211,8 @@ def grid_convexity_test(
             f"table shape {shape} does not match axes "
             f"{tuple(len(g) for g in grids)}"
         )
+    if not np.isfinite(values).all():
+        raise ValidationError("table has non-finite values")
     pairs = _pair_count(shape)
     if pairs > 50 * TABLE_CAP:  # at 1.2e8-1.5e8 pairs/s on 2 cores, a scan under the cap ends in ~8 s
         raise CapExceeded(pairs, 50 * TABLE_CAP)

@@ -146,9 +146,12 @@ class MeasurementKernel:
             raise ValidationError(f"dm index must be >= 1, got {dm}")
         t = np.atleast_1d(np.asarray(table, dtype=float))
         rows = _compact(t)  # a stride-0 axis is constant without a comparison
-        for a in [a for a in range(rows.ndim - 1) if rows.shape[a] > 1]:
-            first = rows[(slice(None),) * a + (slice(0, 1),)]
-            rows = first if (rows == first).all() else rows
+        zero = (0,) * rows.ndim
+        for a in range(rows.ndim - 1):
+            # one cell against the next along the axis first: most axes differ there
+            if rows.shape[a] > 1 and rows.item(zero[:a] + (1,) + zero[a + 1 :]) == rows.item(zero):
+                first = rows[(slice(None),) * a + (slice(0, 1),)]
+                rows = first if (rows == first).all() else rows
         rows = _readonly(rows.copy() if rows.size < t.size else rows)
         object.__setattr__(self, "dm", int(dm))
         full = rows if rows.shape == t.shape else np.broadcast_to(rows, t.shape)
@@ -169,8 +172,9 @@ class CostTable:
 @dataclass(frozen=True)
 class TeamProblem:
     """A finite N-decision-maker sequential team.  The constructor checks
-    its structure (counts, kernel labels and shapes, cost shape, prior
-    space) and raises at the first fault; ``validate`` reports values."""
+    its structure (counts, kernel labels and shapes, cost shape, at most
+    TABLE_CAP cells in each kernel and the cost, prior space) and raises
+    at the first fault; ``validate`` reports values."""
 
     omega0: FiniteSpace
     prior: Pmf
@@ -205,6 +209,9 @@ class TeamProblem:
                 raise DimensionMismatch(f"DM {k} kernel shape {kern.table.shape} != {want}")
         if cost.table.shape != self.cost_shape():
             raise DimensionMismatch(f"cost shape {cost.table.shape} != {self.cost_shape()}")
+        for t in [k.table for k in self.kernels] + [cost.table]:
+            if t.size > TABLE_CAP:
+                raise CapExceeded(t.size, TABLE_CAP)
         if prior.space.points != omega0.points:
             raise ValidationError(f"prior is on {prior.space.name!r}, not on {omega0.name!r}")
 

@@ -16,14 +16,18 @@ A problem document has five sections:
 String forms of points must be unique within a space and must not
 contain the ``|`` separator.
 
-The codec moves whole tables: keys come from ``itertools.product`` over
-the label lists (the C order of ``table.reshape(-1)``), and the reader
-splits a section's keys at once and fills each table with one index
-assignment.  A malformed entry (a key with the wrong number of parts or
-an unknown label, a value ``float`` rejects, a section or kernel row
-that is not an object) raises ValidationError naming the first
-offending key in document order.  A reference file is a list of one
-measurement mass map per DM, each read and written like the prior.
+The codec moves whole tables, and one key builder serves both ways:
+the writer's keys follow the C order of ``table.reshape(-1)``.  The
+reader counts each table's cells first (CapExceeded over TABLE_CAP).  A
+section that lists every cell in the order ``json_text`` writes, as
+every full table written here does, equals the keys built from sorted
+labels (compared a block at a time) and fills its table at once; any
+other section has its keys split at once and fills its table with one
+index assignment.  A malformed entry (a key with the wrong number of
+parts or an unknown label, a value ``float`` rejects, a section or
+kernel row that is not an object) raises ValidationError naming the
+first offending key in document order.  A reference file is a list of
+one measurement mass map per DM, each read and written like the prior.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalformedAnnotation, ValidationError
+from .constants import TABLE_CAP
+from .errors import CapExceeded, MalformedAnnotation, ValidationError
 from .infostruct import SubsystemAnnotation
 from .model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem, _compact
 from .strategic import StrategicMeasure, _joint_spaces
@@ -116,6 +121,35 @@ def _parse(keys: list, values, maps: list):
     return idx, floats, min(faults, key=lambda f: f[0]) if faults else None
 
 
+def _shape(maps: list) -> tuple:
+    """A table's shape, one axis per label map, and its cell count;
+    CapExceeded when that is over TABLE_CAP."""
+    shape, cells = [len(m) for m in maps], 1
+    for n in shape:
+        cells *= n
+    if cells > TABLE_CAP:
+        raise CapExceeded(cells, TABLE_CAP)
+    return shape, cells
+
+
+def _written_at(keys: list, maps: list):
+    """The index at which the table takes its entries, in written order
+    and reshaped to its shape, when ``keys`` are all its keys in the order
+    ``json_text`` writes them; else None.  Sorted keys sort their labels,
+    each but the last with SEP behind it; the keys are compared one block
+    per label of the first axis."""
+    pieces = [[s + SEP for s in m] for m in maps[:-1]] + [list(maps[-1])]
+    written = [sorted(p) for p in pieces]
+    at = 0
+    for block in _key_blocks(written):
+        if keys[at : at + len(block)] != block:
+            return None
+        at += len(block)
+    if written == pieces:
+        return ...  # every axis is in its written order already
+    return np.ix_(*[sorted(range(len(p)), key=p.__getitem__) for p in pieces])
+
+
 def _history_nouns(k: int) -> list:
     """Nouns for the axes of an ``omega|u1|...|u_{k-1}`` key."""
     return [("exogenous point", "")] + [("action", f" for DM {j}") for j in range(1, k)]
@@ -144,12 +178,23 @@ def _table(section, maps: list, where: str, *words) -> np.ndarray:
     """The table, one axis per label map, filled from a flat section;
     ``where`` and ``words`` word its faults (see ``_fault``)."""
     section = _object(section, f"{where} section")
+    shape, cells = _shape(maps)
     keys, values = list(section), list(section.values())
-    idx, floats, fault = _parse(keys, values, maps)
-    if fault:
-        raise _fault(fault, keys, values, where, *words)
-    table = np.zeros([len(m) for m in maps])
-    table[tuple(idx)] = floats
+    at = _written_at(keys, maps) if len(keys) == cells else None
+    if at is not None:
+        try:
+            floats = np.reshape(list(map(float, values)), shape)
+        except (TypeError, ValueError, OverflowError):
+            at = None  # the split parse below names the value
+    if at is ...:
+        return floats
+    if at is None:
+        idx, floats, fault = _parse(keys, values, maps)
+        if fault:
+            raise _fault(fault, keys, values, where, *words)
+        at = tuple(idx)
+    table = np.zeros(shape)
+    table[at] = floats
     return table
 
 
@@ -158,8 +203,10 @@ def _kernel_table(section, k: int, maps: list, y_map: dict):
     label -> probability.  A key's fault comes before its row's, and a
     row's before the next key's."""
     section = _object(section, f"DM {k} kernel table")
+    shape, cells = _shape(maps + [y_map])
     keys, rows = list(section), list(section.values())
-    h_idx, _, h_fault = _parse(keys, (), maps)
+    at = _written_at(keys, maps) if len(keys) * len(y_map) == cells else None
+    h_idx, _, h_fault = _parse(keys, (), maps) if at is None else (np.arange(len(keys))[None], (), None)
     stop = h_fault[0] if h_fault else len(rows)
     good = next((i for i in range(stop) if not isinstance(rows[i], dict)), stop)
     lengths = [len(r) for r in rows[:good]]
@@ -175,8 +222,13 @@ def _kernel_table(section, k: int, maps: list, y_map: dict):
     if h_fault:
         what = f"DM {k} kernel history"
         raise _fault(h_fault, keys, (), "", what, _history_nouns(k), f"{what} key")
-    table = np.zeros([len(m) for m in maps] + [len(y_map)])
+    table = np.zeros(shape if at is None else (len(keys), len(y_map)))
     table[tuple(np.repeat(h_idx, lengths, axis=1)) + (y_idx,)] = floats
+    if at is not None:  # row i holds the i-th history in written order
+        table = table.reshape(shape)
+        if at is not ...:
+            table, written = np.zeros(shape), table
+            table[at] = written
     return MeasurementKernel(k, table)
 
 
@@ -243,11 +295,24 @@ def annotation_from_dict(doc: dict) -> Optional[SubsystemAnnotation]:
         raise MalformedAnnotation(f"bad subsystems annotation: {e}") from e
 
 
+def _key_blocks(pieces: list):
+    """Every concatenation of one string from each list, in C order (the
+    last list varies fastest), one block per string of the first list; a
+    single list is one block."""
+    if len(pieces) == 1:
+        return iter(pieces)
+    rest = pieces[-1]
+    for piece in pieces[-2:0:-1]:
+        rest = [p + r for p in piece for r in rest]
+    return ([first + r for r in rest] for first in pieces[0])
+
+
 def _keys(label_lists: list, keep=None):
     """The keys of the cells of a table whose axes carry these labels, in
     the C order of ``table.reshape(-1)``; with ``keep``, of its true cells."""
-    cells = itertools.product(*label_lists)
-    return map(SEP.join, cells if keep is None else itertools.compress(cells, keep))
+    pieces = [[s + SEP for s in labels] for labels in label_lists[:-1]] + label_lists[-1:]
+    cells = itertools.chain.from_iterable(_key_blocks(pieces))
+    return cells if keep is None else itertools.compress(cells, keep)
 
 
 def _nonzero(label_lists: list, table: np.ndarray) -> dict:
@@ -330,10 +395,58 @@ def read_json(path: str) -> tuple:
     return json.loads(data.decode("utf-8")), data
 
 
+_PLAIN = {str, int, float, bool, type(None)}
+
+
 def json_text(doc, default=None) -> str:
-    """The text of every written document and report: sorted keys,
-    two-space indent, a final newline; ``default`` is json's hook."""
-    return json.dumps(doc, default=default, sort_keys=True, indent=2) + "\n"
+    """The text of every written document and report: the bytes of
+    ``json.dumps(doc, default=default, sort_keys=True, indent=2) + "\n"``.
+    Each container goes to json's C encoder, one per depth, whose item
+    separator holds the line break and indent; members that are not of
+    exact type str, int, float, bool or None go as null, and their own
+    text then takes that null's place.  The pieces are joined once."""
+    out, encoders = [], {}
+
+    def write(obj, depth: int) -> None:
+        if depth not in encoders:
+            sep = ",\n" + "  " * (depth + 1)
+            encoders[depth] = json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
+        enc = encoders[depth]
+        if isinstance(obj, dict):
+            members = obj.values()
+        elif isinstance(obj, (list, tuple)):
+            members = obj
+        elif isinstance(obj, (str, int, float)) or obj is None:
+            return out.append(enc.encode(obj))
+        else:
+            return write((default or enc.default)(obj), depth)
+        end = "\n" + "  " * depth
+        if _PLAIN.issuperset(map(type, members)):
+            flat = enc.encode(obj)
+            if len(flat) == 2:
+                return out.append(flat)
+            return out.extend([flat[0], enc.item_separator[1:], flat[1:-1], end, flat[-1]])
+        if members is obj:
+            nested, shallow = obj, [v if type(v) in _PLAIN else None for v in obj]
+        else:  # the C encoder orders a dict's items as sorted() does
+            nested = [v for _, v in sorted(obj.items())]
+            shallow = {k: v if type(v) in _PLAIN else None for k, v in obj.items()}
+        flat = enc.encode(shallow)
+        out.extend([flat[0], enc.item_separator[1:]])
+        # strings escape line breaks: the text has one only in each separator
+        for i, (part, v) in enumerate(zip(flat[1:-1].split(enc.item_separator), nested)):
+            if i:
+                out.append(enc.item_separator)
+            if type(v) in _PLAIN:
+                out.append(part)
+            else:
+                out.append(part[: -len("null")])
+                write(v, depth + 1)
+        out.extend([end, flat[-1]])
+
+    write(doc, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_problem(path: str) -> ProblemFile:

@@ -490,6 +490,40 @@ def test_reduce_reads_reference_masses_like_a_prior(tmp_path, capsys):
     assert report["references"][0] == {"0": 0.25, "1": 0.75}
 
 
+def test_every_command_refuses_a_file_whose_cost_exceeds_the_table_cap(tmp_path, capsys):
+    # 100 exogenous points and 1000 actions per DM declare a 1e8-cell cost
+    # (5 x TABLE_CAP) with one key listed: counted and refused before any table
+    doc = {
+        "spaces": {
+            "omega0": {"points": list(range(100))},
+            "measurements": [{"points": [0]}, {"points": [0]}],
+            "actions": [{"points": list(range(1000))}, {"points": list(range(1000))}],
+        },
+        "prior": {str(w): 0.01 for w in range(100)},
+        "kernels": [{str(w): {"0": 1.0} for w in range(100)}, {}],
+        "cost": {"0|0|0": 1.0},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"joint": {}}))
+    for argv in (
+        ["validate"], ["classify"], ["reduce"], ["certify-convexity"],
+        ["solve", "--method", "brute"], ["solve", "--method", "pbp"],
+        ["solve", "--method", "mixture-lp"], ["strategic", "enumerate"],
+        ["strategic", "witness"], ["strategic", "check", "--measure", str(measure)],
+    ):
+        words = 2 if argv[0] == "strategic" else 1
+        start = time.perf_counter()
+        code, report = run_cli(capsys, *argv[:words], str(path), *argv[words:])
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 1, argv
+        assert report["error"] == {
+            "type": "CapExceeded",
+            "message": "enumeration of 100000000 items exceeds cap 20000000",
+        }
+
+
 def test_reduce_cap_skips_materialization(tmp_path, capsys):
     path = write_team(tmp_path, "team.json", random_team(4, dynamic=True))
     code, report = run_cli(capsys, "reduce", path, "--cap", "1", "--seed", "3")

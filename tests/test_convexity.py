@@ -115,6 +115,15 @@ def test_grid_test_rejects_bad_axes_and_shapes():
     assert single.passed and single.n_pairs == 0 and single.min_margin == 0.0
 
 
+def test_grid_test_refuses_a_table_that_is_not_finite():
+    # with the NaN, pair (0, 2) has margin -1.0 but the scan read min_margin 0.0
+    axis = [np.arange(5.0)]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="^table has non-finite values$"):
+            grid_convexity_test(np.array([0.0, 1.0, 0.0, 1.0, bad]), axis)
+    assert grid_convexity_test(np.array([0.0, 1.0, 0.0, 1.0, 0.0]), axis).min_margin == -1.0
+
+
 def literal_midpoint_scan(values, axes, tol):
     """Every pair of lattice points in flat order, one at a time: returns
     (passed, strict, min_margin, n_pairs, first violation)."""

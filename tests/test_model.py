@@ -2,6 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teamdec import model
 
 from teamdec.errors import (
     CapExceeded,
@@ -17,6 +21,7 @@ from teamdec.model import (
     Pmf,
     RandomizedProfile,
     TeamProblem,
+    _compact,
     expected_cost,
     expected_cost_batch,
     induced_joint,
@@ -203,6 +208,65 @@ def test_team_problem_refuses_a_misshapen_cost():
         TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
                     team.kernels, CostTable(np.zeros((3, 2))))
     assert str(err.value) == "cost shape (3, 2) != (3, 2, 2)"
+
+
+def test_team_problem_refuses_a_kernel_or_cost_over_the_table_cap(monkeypatch):
+    # the cost holds 3 * 4 * 5 = 60 cells, DM 2's kernel 3 * 4 * 6 = 72
+    team = random_team(2, y_sizes=(2, 6), u_sizes=(4, 5))
+
+    def build():
+        return TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                           team.kernels, team.cost)
+
+    for cap, refused in ((72, None), (71, 72)):
+        monkeypatch.setattr(model, "TABLE_CAP", cap)
+        if refused is None:
+            build()
+            continue
+        with pytest.raises(CapExceeded) as err:
+            build()
+        assert (err.value.count, err.value.cap) == (refused, cap)
+    team = random_team(2, y_sizes=(2, 2), u_sizes=(4, 5))
+    monkeypatch.setattr(model, "TABLE_CAP", 59)
+    with pytest.raises(CapExceeded) as err:
+        build()
+    assert (err.value.count, err.value.cap) == (60, 59)
+
+
+def literal_cut_shape(table: np.ndarray) -> tuple:
+    """The stored shape by the rule itself: a history axis is cut to
+    length 1 when it is a stride-0 view of one slice, or when every slice
+    along it equals the first, ``==`` cell by cell (so NaN never repeats
+    and -0.0 repeats 0.0)."""
+    shape = list(table.shape)
+    for a in range(table.ndim - 1):
+        first = table.take([0], axis=a)
+        if table.strides[a] == 0 or (table == first).all():
+            shape[a] = 1
+    return tuple(shape)
+
+
+@settings(max_examples=300)
+@given(
+    shape=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    flat=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, np.nan, np.inf]), min_size=81, max_size=81),
+    repeat=st.lists(st.booleans(), min_size=4, max_size=4),
+    broadcast=st.booleans(),
+)
+def test_kernel_cuts_the_axes_the_literal_rule_cuts(shape, flat, repeat, broadcast):
+    """Tables constant along a drawn set of history axes (built by copying
+    the first slice, or as a stride-0 view), with values where NaN, inf
+    and signed zeros meet the comparison."""
+    table = np.array(flat[: int(np.prod(shape))]).reshape(shape)
+    for a in range(len(shape) - 1):
+        if repeat[a]:
+            table = np.broadcast_to(table.take([0], axis=a), table.shape)
+    if not broadcast:
+        table = table.copy()
+    want = literal_cut_shape(table)
+    kernel = MeasurementKernel(1, table)
+    assert _compact(kernel.table).shape == want
+    assert np.array_equal(kernel.table, table, equal_nan=True)
 
 
 def test_team_problem_refuses_a_prior_on_another_space():

@@ -1,15 +1,21 @@
 """JSON round-trips for problems, annotations, and strategic measures."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
+from enum import Enum, IntEnum
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamdec.errors import MalformedAnnotation, ValidationError
+from teamdec import model, probio
+from teamdec.cli import to_jsonable
+from teamdec.errors import CapExceeded, MalformedAnnotation, ValidationError
 from teamdec.gallery import decoupled_example
 from teamdec.model import (
     CostTable,
@@ -21,6 +27,7 @@ from teamdec.model import (
 from teamdec.probio import (
     annotation_from_dict,
     digest_bytes,
+    json_text,
     load_measure,
     load_problem,
     load_references,
@@ -37,6 +44,7 @@ from conftest import (
     random_profile,
     random_randomized_profile,
     random_team,
+    sparse_team,
 )
 
 
@@ -525,3 +533,181 @@ def test_reference_mass_maps_load_like_a_prior(tmp_path):
         with pytest.raises(ValidationError) as err:
             load_references(problem, str(path))
         assert str(err.value) == message
+
+
+# -- the writer's text and the reader's full-table path against oracles --------
+
+
+class Shade(Enum):
+    LIGHT = "light"
+    DARK = 2
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+@dataclasses.dataclass
+class Pair:
+    left: object
+    right: object
+
+
+def _report_docs():
+    """Report-like trees: nested dicts, lists and tuples, empty ones too,
+    str, int, float, bool and None keys, any text, NaN and +-inf, and what
+    only ``to_jsonable`` encodes (numpy scalars, enums, dataclasses,
+    Fractions)."""
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+        st.sampled_from([Shade.LIGHT, Shade.DARK, Level.LOW]), st.fractions(),
+    )
+
+    def nest(children):
+        numbers = st.one_of(st.integers(), st.floats(), st.booleans())
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(), children, max_size=4),
+            st.dictionaries(numbers, children, max_size=4),
+            st.dictionaries(st.none(), children, max_size=1),
+            st.builds(Pair, children, children),
+        )
+
+    return st.recursive(leaves, nest, max_leaves=40)
+
+
+@settings(max_examples=300)
+@given(doc=_report_docs())
+def test_json_text_writes_the_bytes_of_json_dumps(doc):
+    want = json.dumps(doc, default=to_jsonable, sort_keys=True, indent=2) + "\n"
+    assert json_text(doc, default=to_jsonable) == want
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for doc in ({(1, 2): [[1]]}, {(1, 2): 1}, [[object()]]):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            json_text(doc)
+        assert str(got.value) == str(want.value)
+
+
+def written_doc(problem) -> dict:
+    """A problem file as the writer lays it out: the per-cell literal
+    document with every object's keys sorted, read back from its text."""
+    return json.loads(json.dumps(literal_problem_doc(problem), sort_keys=True))
+
+
+def read(doc):
+    """The loaded tables' bytes, or the ValidationError's text."""
+    try:
+        p = problem_from_dict(doc)
+    except ValidationError as e:
+        return str(e)
+    return [t.tobytes() for t in [p.prior.mass, *(k.table for k in p.kernels), p.cost.table]]
+
+
+def split_read(doc):
+    """``read`` with the full-table path switched off: every section split."""
+    with mock.patch.object(probio, "_written_at", lambda keys, maps: None):
+        return read(doc)
+
+
+def perturbed(doc: dict, section: str, kind: str, rng) -> dict:
+    """``doc`` with one section's keys shuffled, one entry dropped, one
+    label unknown, or one value not a number or a numeric string."""
+    doc = json.loads(json.dumps(doc))
+    owner, name = (doc["kernels"], -1) if section == "kernel" else (doc, section)
+    items = list(owner[name].items())
+    i = int(rng.integers(len(items)))
+    key, value = items[i]
+    if kind == "shuffle":
+        items = [items[j] for j in rng.permutation(len(items))]
+    elif kind == "drop":
+        del items[i]
+    elif kind == "unknown":
+        parts = key.split("|")
+        parts[int(rng.integers(len(parts)))] = "ghost"
+        items[i] = ("|".join(parts), value)
+    elif kind == "not-a-number":
+        items[i] = (key, [value] if section == "kernel" else "abc")
+    else:  # a numeric string, which float() reads
+        items[i] = (key, {y: str(p) for y, p in value.items()} if section == "kernel" else str(value))
+    owner[name] = dict(items)
+    return doc
+
+
+@settings(max_examples=120)
+@given(
+    sparse=st.booleans(),
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 11)), min_size=1, max_size=2),
+    n_omega=st.integers(1, 11),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    section=st.sampled_from(["prior", "kernel", "cost"]),
+    kind=st.sampled_from(["shuffle", "drop", "unknown", "not-a-number", "numeric-string"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_tables_load_as_the_split_parse_loads_them(
+    sparse, dms, n_omega, dynamic, zeros, section, kind, seed
+):
+    y_sizes, u_sizes = zip(*dms)
+    if sparse:
+        problem = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega=n_omega)
+    else:
+        problem = random_team(seed, n_omega, y_sizes, u_sizes, dynamic)
+    doc = written_doc(problem)
+    real, found = probio._written_at, []
+
+    def spy(keys, maps):
+        found.append(real(keys, maps))
+        return found[-1]
+
+    with mock.patch.object(probio, "_written_at", spy):
+        tables = read(doc)
+    assert found[-1] is not None  # the cost, read last, lists every cell
+    assert tables == split_read(doc)
+    changed = perturbed(doc, section, kind, np.random.default_rng(seed))
+    assert read(changed) == split_read(changed)
+
+
+@settings(max_examples=25)
+@given(
+    n_omega=st.integers(2, 4),
+    u1=st.integers(300, 700),
+    u2=st.integers(300, 700),
+    over=st.integers(-2, 2),
+)
+def test_the_reader_refuses_a_table_over_the_cap_before_building_it(n_omega, u1, u2, over):
+    # the cost is the largest table; one key of it is listed
+    cells = n_omega * u1 * u2
+    doc = {
+        "spaces": {
+            "omega0": {"points": list(range(n_omega))},
+            "measurements": [{"points": [0]}, {"points": [0]}],
+            "actions": [{"points": list(range(u1))}, {"points": list(range(u2))}],
+        },
+        "prior": {"0": 1.0},
+        "kernels": [{"0": {"0": 1.0}}, {}],
+        "cost": {"0|0|0": 1.0},
+    }
+    cap = cells - over
+    with mock.patch.object(probio, "TABLE_CAP", cap), mock.patch.object(model, "TABLE_CAP", cap):
+        tracemalloc.start()
+        try:
+            problem = problem_from_dict(doc)
+        except CapExceeded as e:
+            refused, peak = (e.count, e.cap), tracemalloc.get_traced_memory()[1]
+        else:
+            refused = None
+        finally:
+            tracemalloc.stop()
+    if cells > cap:
+        assert refused == (cells, cap)
+        assert peak < 8 * cells // 2  # the table itself was never allocated
+    else:
+        assert refused is None
+        assert problem.cost.table.shape == (n_omega, u1, u2)
