@@ -213,9 +213,9 @@ def grid_convexity_test(
         )
     if not np.isfinite(values).all():
         raise ValidationError("table has non-finite values")
-    pairs = _pair_count(shape)
-    if pairs > 50 * TABLE_CAP:  # at 1.2e8-1.5e8 pairs/s on 2 cores, a scan under the cap ends in ~8 s
-        raise CapExceeded(pairs, 50 * TABLE_CAP)
+    # on 2 cores a scan at the cap takes 5-8 s on a strictly convex table (1.3e8-2.0e8
+    # pairs/s) and 15-30 s on a convex, not strictly convex one (3.5e7-6.7e7 pairs/s)
+    pairs = CapExceeded.check(_pair_count(shape), 50 * TABLE_CAP)
 
     lead, n = shape[:-1], shape[-1]
     k, H = len(lead), (n - 1) // 2
@@ -270,8 +270,6 @@ def grid_convexity_test(
                 continue
             rows = (gap > tol).reshape(-1, *gap.shape[k:])
             hits = np.flatnonzero(rows.any(axis=(1, 2)))
-            if not hits.size:
-                continue
             # the first failing (a, b) of the batch: first leading row, then
             # smallest a_d, then smallest h_d
             mi, ji = np.nonzero(rows[hits[0]])

@@ -44,6 +44,13 @@ class CapExceeded(AnalysisError):
         self.cap = cap
         super().__init__(f"enumeration of {count} items exceeds cap {cap}")
 
+    @classmethod
+    def check(cls, count: int, cap: int) -> int:
+        """``count``, or CapExceeded(count, cap) when it is over ``cap``."""
+        if count > cap:
+            raise CapExceeded(count, cap)
+        return count
+
 
 class AbsoluteContinuityFailure(AnalysisError):
     """A reference measure misses part of a kernel row's support."""

@@ -18,6 +18,7 @@ reductions, measures) plus the example-specific checks the CLI exposes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -340,9 +341,7 @@ class SquareWaveFamily:
         """Dense setwise limit: mass 1/2 split over u1 = u2 = 0 and
         u1 = u2 = 1 within every cell."""
         shape = self.problem.joint_shape()
-        cells = int(np.prod(shape))
-        if cells > TABLE_CAP:
-            raise CapExceeded(cells, TABLE_CAP)
+        CapExceeded.check(math.prod(shape), TABLE_CAP)
         m = 2 * self.n
         joint = np.zeros(shape)
         for w in range(m):
@@ -384,8 +383,7 @@ def square_wave(n: int) -> SquareWaveFamily:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     m = 2 * n
-    if 2 * m * m > TABLE_CAP:  # DM 2's kernel, shape (m, 2, m)
-        raise CapExceeded(2 * m * m, TABLE_CAP)
+    CapExceeded.check(2 * m * m, TABLE_CAP)  # DM 2's kernel, shape (m, 2, m)
     cells = tuple((Fraction(j, m), Fraction(j + 1, m)) for j in range(m))
     labels = [f"[{lo},{hi})" for lo, hi in cells]
     omega = FiniteSpace("interval-cell", labels)
@@ -478,8 +476,7 @@ def example1(step: float = 0.01) -> Example1Bundle:
     if not 0 < step <= 1:
         raise ValidationError(f"step must be in (0, 1], got {step}")
     n_points = int(round(1.0 / step)) + 1
-    if 3 * n_points * n_points > TABLE_CAP:  # the cost, shape (3, n, n)
-        raise CapExceeded(3 * n_points * n_points, TABLE_CAP)
+    CapExceeded.check(3 * n_points * n_points, TABLE_CAP)  # the cost, shape (3, n, n)
     u_vals = np.linspace(1.0, 2.0, n_points)
 
     omega = FiniteSpace("state-cell", ["[0,0.1)", "[0.1,0.9]", "(0.9,1]"])

@@ -21,6 +21,7 @@ view of them for readers outside the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -119,7 +120,9 @@ class Pmf:
 
 def _compact(table: np.ndarray) -> np.ndarray:
     """A kernel or static-reduction weight table in its stored form: the
-    view with every stride-0 history axis cut to length 1."""
+    view with every stride-0 history axis cut to length 1, if it has any."""
+    if 0 not in table.strides[:-1]:
+        return table
     return table[tuple(slice(0, 1) if s == 0 else slice(None) for s in table.strides[:-1])]
 
 
@@ -134,8 +137,9 @@ class MeasurementKernel:
 
     Only the rows the kernel depends on are stored: each history axis
     along which the table is exactly constant is cut to length 1, and
-    ``table`` is the read-only full-shape view of the stored rows (they
-    themselves when nothing was cut), equal to the input value for value.
+    ``table`` is the read-only full-shape view of the stored rows, equal
+    to the input value for value.  When nothing is cut, a C-contiguous
+    float input is itself frozen and kept, as ``CostTable`` does.
     """
 
     dm: int
@@ -210,8 +214,7 @@ class TeamProblem:
         if cost.table.shape != self.cost_shape():
             raise DimensionMismatch(f"cost shape {cost.table.shape} != {self.cost_shape()}")
         for t in [k.table for k in self.kernels] + [cost.table]:
-            if t.size > TABLE_CAP:
-                raise CapExceeded(t.size, TABLE_CAP)
+            CapExceeded.check(t.size, TABLE_CAP)
         if prior.space.points != omega0.points:
             raise ValidationError(f"prior is on {prior.space.name!r}, not on {omega0.name!r}")
 
@@ -238,10 +241,7 @@ class TeamProblem:
         return tuple(shape)
 
     def n_deterministic_profiles(self) -> int:
-        n = 1
-        for k in range(self.n_dms):
-            n *= len(self.u_spaces[k]) ** len(self.y_spaces[k])
-        return n
+        return math.prod(len(u) ** len(y) for y, u in zip(self.y_spaces, self.u_spaces))
 
 
 def _check_policy_count(policies: Sequence, problem: TeamProblem) -> None:
@@ -449,10 +449,7 @@ def induced_joint(problem: TeamProblem, profile, cap: int = TABLE_CAP) -> np.nda
     The marginal on axis 0 equals the prior exactly up to float rounding.
     Raises CapExceeded when the table would have more than ``cap`` cells.
     """
-    shape = problem.joint_shape()
-    cells = int(np.prod([int(s) for s in shape], dtype=object))
-    if cells > cap:
-        raise CapExceeded(cells, cap)
+    CapExceeded.check(math.prod(problem.joint_shape()), cap)
     mats = _policy_matrices(problem, profile)
     return _full_joint(problem, mats, lambda k: [2 * k - 1, 2 * k])
 

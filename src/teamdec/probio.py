@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,12 +125,8 @@ def _parse(keys: list, values, maps: list):
 def _shape(maps: list) -> tuple:
     """A table's shape, one axis per label map, and its cell count;
     CapExceeded when that is over TABLE_CAP."""
-    shape, cells = [len(m) for m in maps], 1
-    for n in shape:
-        cells *= n
-    if cells > TABLE_CAP:
-        raise CapExceeded(cells, TABLE_CAP)
-    return shape, cells
+    shape = [len(m) for m in maps]
+    return shape, CapExceeded.check(math.prod(shape), TABLE_CAP)
 
 
 def _written_at(keys: list, maps: list):

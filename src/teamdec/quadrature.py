@@ -43,8 +43,7 @@ def gauss_hermite(n: int, sigma: float = 1.0) -> tuple:
         raise ValidationError(f"quadrature needs at least one node, got {n}")
     if not 0 < sigma < np.inf:
         raise ValidationError(f"sigma must be positive and finite, got {sigma}")
-    if n * n > TABLE_CAP:  # hermgauss builds an n x n companion matrix
-        raise CapExceeded(n * n, TABLE_CAP)
+    CapExceeded.check(n * n, TABLE_CAP)  # hermgauss builds an n x n companion matrix
     with np.errstate(all="ignore"):  # numpy 2.4: the weights underflow from 371 nodes on
         x, w = hermgauss(n)
     if not (np.isfinite(w).all() and w.sum() > 0):
@@ -82,8 +81,7 @@ class QuadratureSpec:
             raise ValidationError(f"quadrature spec y2_pad must be finite and >= 0, got {pad}")
         # the cost table and DM 2's kernel of the discretization
         cells = self.y1_nodes * self.u1_points * max(self.u2_points, self.y2_points)
-        if cells > TABLE_CAP:
-            raise CapExceeded(cells, TABLE_CAP)
+        CapExceeded.check(cells, TABLE_CAP)
 
 
 # A small instance whose materialized static reduction stays within the
@@ -337,6 +335,7 @@ class StaticLQTeam:
     Policies are affine, parametrized by theta = (a1, b1, a2, b2) with
     u_i = a_i y_i + b_i.  Quadrature is exact for this cost, so the
     finite-difference and closed-form analyses must agree to rounding.
+    Construction refuses n_nodes^3 tensor cells over TABLE_CAP.
     """
 
     sigma_s: float = 1.0
@@ -345,6 +344,9 @@ class StaticLQTeam:
     rho1: float = 0.25
     rho2: float = 0.25
     n_nodes: int = 16
+
+    def __post_init__(self):
+        CapExceeded.check(self.n_nodes**3, TABLE_CAP)
 
     def _tensor(self):
         s, ws = gauss_hermite(self.n_nodes, self.sigma_s)

@@ -80,10 +80,7 @@ class StaticReduction:
         )
 
     def exogenous_size(self) -> int:
-        n = len(self.problem.omega0)
-        for y in self.problem.y_spaces:
-            n *= len(y)
-        return n
+        return len(self.problem.omega0) * math.prod(len(y) for y in self.problem.y_spaces)
 
     def reduced_problem(self, cap: int = TABLE_CAP) -> TeamProblem:
         """Materialize the reduced static problem.
@@ -98,9 +95,7 @@ class StaticReduction:
         n = problem.n_dms
         n_ex = self.exogenous_size()
         u_sizes = [len(u) for u in problem.u_spaces]
-        cells = n_ex * max(math.prod(u_sizes), *(len(y) for y in problem.y_spaces))
-        if cells > cap:
-            raise CapExceeded(cells, cap)
+        CapExceeded.check(n_ex * max(math.prod(u_sizes), *(len(y) for y in problem.y_spaces)), cap)
 
         points = list(
             itertools.product(

@@ -23,7 +23,7 @@ from .constants import (
     TABLE_CAP,
     TIE_TOL,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, ValidationError
 from .model import (
     DeterministicProfile,
     RandomizedProfile,
@@ -110,7 +110,11 @@ def profile_values(problem: TeamProblem, count: int) -> np.ndarray:
     """Expected costs of the first ``count`` profiles in lexicographic
     order, gathered from the prefix tables: a profile's cost is the sum
     over DM N's measurements of its prefix table at the action its last
-    map picks."""
+    map picks.  A count outside 0..n_deterministic_profiles() is refused
+    (ValidationError)."""
+    total = problem.n_deterministic_profiles()
+    if not 0 <= count <= total:
+        raise ValidationError(f"{count} profiles requested of {total}")
     ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
     n_maps = nu**ny
     (last,) = _profile_maps(
@@ -150,9 +154,7 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     prefix followed by those actions as digits in radix |U_N|.  ``cap``
     bounds the number of profiles, not prefixes.
     """
-    total = problem.n_deterministic_profiles()
-    if total > cap:
-        raise CapExceeded(total, cap)
+    total = CapExceeded.check(problem.n_deterministic_profiles(), cap)
     prefixes = total // len(problem.u_spaces[-1]) ** len(problem.y_spaces[-1])
     values, cells = [], 0
     for _, table in _prefix_tables(problem, prefixes):

@@ -239,12 +239,8 @@ def _all_profile_maps(problem: TeamProblem, cap: int) -> list:
     """Every deterministic profile's action maps (``_profile_maps``), after
     checking that there are at most ``cap`` profiles and that their joints
     together hold at most TABLE_CAP cells (CapExceeded otherwise)."""
-    count = problem.n_deterministic_profiles()
-    if count > cap:
-        raise CapExceeded(count, cap)
-    cells = count * math.prod(problem.joint_shape())
-    if cells > TABLE_CAP:
-        raise CapExceeded(cells, TABLE_CAP)
+    count = CapExceeded.check(problem.n_deterministic_profiles(), cap)
+    CapExceeded.check(count * math.prod(problem.joint_shape()), TABLE_CAP)
     return _profile_maps(problem.y_spaces, problem.u_spaces, 0, count)
 
 
@@ -337,7 +333,9 @@ class HistoryProfile:
 
 
 def induce_history_profile(problem: TeamProblem, hp: HistoryProfile) -> StrategicMeasure:
-    """Joint induced by history-dependent behavioral kernels."""
+    """Joint induced by history-dependent behavioral kernels.  Raises
+    CapExceeded when the joint would hold more than TABLE_CAP cells."""
+    CapExceeded.check(math.prod(problem.joint_shape()), TABLE_CAP)
     joint = _full_joint(problem, hp.kernels, lambda k: list(range(1, 2 * k + 1)))
     return StrategicMeasure(problem, joint, origin="history-profile")
 
@@ -429,7 +427,8 @@ def uniform_realization_mixture(problem: TeamProblem, profile: RandomizedProfile
     combination picks one deterministic map per DM.
 
     Returns [(weight, DeterministicProfile), ...] with weights summing
-    to 1 up to float rounding.
+    to 1 up to float rounding.  Raises CapExceeded when there would be
+    more than ENUM_CAP interval combinations.
     """
     per_dm = []
     for k, kern in enumerate(profile.matrices(problem)):
@@ -442,6 +441,7 @@ def uniform_realization_mixture(problem: TeamProblem, profile: RandomizedProfile
             actions = [pol.action(lo, y) for y in range(kern.shape[0])]
             pieces.append((float(hi - lo), np.array(actions, dtype=int)))
         per_dm.append(pieces)
+    CapExceeded.check(math.prod(len(pieces) for pieces in per_dm), ENUM_CAP)
     out = []
     for combo in itertools.product(*per_dm):
         w = 1.0

@@ -118,6 +118,15 @@ def test_induced_joint_respects_cap():
         induced_joint(team, random_profile(team, 0), cap=4)
 
 
+def test_cap_check_refuses_only_counts_over_the_cap():
+    assert CapExceeded.check(7, 7) == 7
+    assert CapExceeded.check(0, 7) == 0
+    with pytest.raises(CapExceeded) as err:
+        CapExceeded.check(8, 7)
+    assert (err.value.count, err.value.cap) == (8, 7)
+    assert str(err.value) == "enumeration of 8 items exceeds cap 7"
+
+
 def test_validate_flags_negative_cost_with_location():
     team = random_team(2)
     bad = team.cost.table.copy()
@@ -267,6 +276,23 @@ def test_kernel_cuts_the_axes_the_literal_rule_cuts(shape, flat, repeat, broadca
     kernel = MeasurementKernel(1, table)
     assert _compact(kernel.table).shape == want
     assert np.array_equal(kernel.table, table, equal_nan=True)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0.5, 0.5], [0.25, 0.75]]),  # nothing cut: the kernel keeps this array
+    np.array([[0.5, 0.5], [0.5, 0.5]]),  # omega cut: the kernel keeps a copy
+    np.array([[0.5, 0.25], [0.5, 0.75]]).T,  # not C-contiguous
+    np.array([[1, 0], [0, 1]]),  # integers, read as floats
+])
+def test_no_write_through_the_callers_array_changes_the_kernel(table):
+    kernel = MeasurementKernel(1, table)
+    before = kernel.table.copy()
+    for cell in np.ndindex(table.shape):
+        try:
+            table[cell] = 9.0
+        except ValueError:  # the caller's array was frozen in place
+            pass
+    assert np.array_equal(kernel.table, before)
 
 
 def test_team_problem_refuses_a_prior_on_another_space():

@@ -236,6 +236,14 @@ def test_quadrature_sizes_are_capped_before_any_node_is_computed():
     assert (err.value.count, err.value.cap) == (20007729, TABLE_CAP)
 
 
+def test_lq_team_caps_its_node_tensors_at_construction():
+    # expected_cost_params and the stationarity checks build n_nodes^3-cell tensors
+    assert StaticLQTeam(n_nodes=271).n_nodes == 271  # 19,902,511 cells
+    with pytest.raises(CapExceeded) as err:
+        StaticLQTeam(n_nodes=272)
+    assert (err.value.count, err.value.cap) == (20123648, TABLE_CAP)
+
+
 def test_gauss_hermite_refuses_node_counts_whose_weights_underflow():
     x, w = gauss_hermite(370)
     assert np.isfinite(w).all() and w.sum() == pytest.approx(1.0)

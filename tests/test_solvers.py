@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamdec.constants import LP_TOL, TIE_TOL
-from teamdec.errors import CapExceeded
+from teamdec.errors import CapExceeded, ValidationError
 from teamdec.model import (
     CostTable,
     DeterministicProfile,
@@ -246,6 +246,17 @@ def test_profile_values_follow_the_lexicographic_order():
             got = profile_values(team, count)
             assert got.shape == (count,)
             assert got == pytest.approx(want[:count], abs=1e-12)
+
+
+def test_profile_values_refuse_counts_past_the_last_profile():
+    team = random_team(1)
+    profiles = list(enumerate_profiles_literal(team))
+    assert len(profiles) == team.n_deterministic_profiles() == 16
+    got = profile_values(team, 16)
+    assert got.tolist() == pytest.approx([expected_cost(team, p) for p in profiles], abs=1e-12)
+    for count in (17, 21, -1):  # 21 used to wrap round to profiles 0..4
+        with pytest.raises(ValidationError, match=f"{count} profiles requested of 16"):
+            profile_values(team, count)
 
 
 @settings(max_examples=100)

@@ -888,6 +888,38 @@ def test_realize_midpoint_rejects_non_members():
         realize_midpoint_classical(team, good, good, lam=1.5)
 
 
+def test_history_profile_joints_are_capped_before_they_are_built(monkeypatch):
+    team = classical_team(7)
+    p1 = induce_LA(team, random_profile(team, 1))
+    p2 = induce_LR(team, random_randomized_profile(team, 2))
+    hp = realize_midpoint_classical(team, p1, p2)
+    cells = int(np.prod(team.joint_shape()))  # 4 * 2 * 2 * 4 * 2 = 128
+    built = []
+    full_joint = strategic._full_joint
+    monkeypatch.setattr(strategic, "_full_joint", lambda *a: built.append(a) or full_joint(*a))
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells - 1)
+    with pytest.raises(CapExceeded) as err:
+        induce_history_profile(team, hp)
+    assert (err.value.count, err.value.cap) == (cells, cells - 1)
+    assert built == []
+    monkeypatch.setattr(strategic, "TABLE_CAP", cells)
+    assert induce_history_profile(team, hp).joint.size == cells
+
+
+def test_realization_mixtures_are_capped_before_they_are_listed(monkeypatch):
+    team = random_team(0)
+    prof = random_randomized_profile(team, 50)
+    count = len(uniform_realization_mixture(team, prof))  # every piece has positive weight
+    assert count == 9
+    monkeypatch.setattr(strategic, "ENUM_CAP", count)
+    assert len(uniform_realization_mixture(team, prof)) == count
+    monkeypatch.setattr(strategic, "DeterministicProfile", lambda maps: pytest.fail("listed"))
+    monkeypatch.setattr(strategic, "ENUM_CAP", count - 1)
+    with pytest.raises(CapExceeded) as err:
+        uniform_realization_mixture(team, prof)
+    assert (err.value.count, err.value.cap) == (count, count - 1)
+
+
 def test_history_profile_reproduces_a_deterministic_profile():
     team = classical_team(7)
     prof = random_profile(team, 7)
