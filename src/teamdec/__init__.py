@@ -46,12 +46,10 @@ from .gallery import (
 from .infostruct import (
     ISClass,
     Partition,
-    PrecedenceGraph,
     SubsystemAnnotation,
     affects,
     classify,
     information_nested,
-    is_partially_nested,
     is_stochastically_decoupled,
     join,
     meet,
@@ -91,7 +89,6 @@ from .reduction import (
 )
 from .solvers import (
     KrainakResult,
-    MixtureResult,
     PbpResult,
     SolveResult,
     StationarityReport,
@@ -99,7 +96,6 @@ from .solvers import (
     brute_force,
     check_krainak_inequality,
     check_stationarity,
-    mixture_lp,
     pbp_iterate,
     response_table,
 )

@@ -51,7 +51,6 @@ from .quadrature import QuadratureSpec, snap_profile
 from .reduction import static_reduce, verify_equivalence
 from .solvers import (
     brute_force,
-    mixture_lp,
     pbp_iterate,
     profile_values,
     seeded_profiles,
@@ -132,8 +131,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_classify(args) -> dict:
     pf = _load(args.problem)
-    graph = precedence_graph(pf.problem)
-    edges = sorted(graph.edges)
+    edges = sorted(precedence_graph(pf.problem))
     return {
         "input_digest": pf.digest,
         "is_class": classify(pf.problem).value,
@@ -170,26 +168,23 @@ def cmd_reduce(args) -> dict:
 def cmd_solve(args) -> dict:
     pf = _load(args.problem)
     problem = pf.problem
-    if args.method == "brute":
+    if args.method in ("brute", "mixture-lp"):
         res = brute_force(problem, cap=args.cap)
-        return {
+        report = {
             "input_digest": pf.digest,
-            "method": "brute",
+            "method": args.method,
             "value": res.value,
-            "profile": profile_fields(problem, res.profile),
-            "profile_index": res.index,
-            "n_profiles": res.n_profiles,
-        }
-    if args.method == "mixture-lp":
-        res = mixture_lp(problem, cap=args.cap)
-        return {
-            "input_digest": pf.digest,
-            "method": "mixture-lp",
-            "value": res.value,
-            "support": [[int(i), float(w)] for i, w in res.support],
             "profile": profile_fields(problem, res.profile),
             "n_profiles": res.n_profiles,
         }
+        if args.method == "brute":
+            report["profile_index"] = res.index
+        else:
+            # the expected cost is linear in the mixture weights and the
+            # deterministic profiles are the vertices of the mixtures, so
+            # the brute-force optimum is a point-mass optimal mixture
+            report["support"] = [[res.index, 1.0]]
+        return report
     init = None
     if args.init is not None:
         if args.init.lstrip().startswith("{"):
@@ -266,7 +261,7 @@ def cmd_strategic(args) -> dict:
         lr = tuple(f for f in la.failures if f.condition != "point-mass")
         out = {"input_digest": pf.digest, "member_LR": not lr, "failures_LR": lr,
                "member_LA": la.member, "failures_LA": la.failures}
-        if not precedence_graph(problem).edges:
+        if not precedence_graph(problem):
             out["member_LM"] = check_membership_LM(measure)
         return out
     witness = find_nonconvexity_witness(problem, cap=args.cap)

@@ -55,7 +55,6 @@ class ConditionalCost:
     partition of the exogenous space; tables are indexed by the joint
     action lattice."""
 
-    partition: Partition
     block_indices: tuple
     masses: tuple
     tables: tuple
@@ -82,9 +81,7 @@ def conditional_cost(problem: TeamProblem, partition: Partition) -> ConditionalC
         keep.append(b)
         masses.append(mass)
         tables.append(table)
-    return ConditionalCost(
-        partition, tuple(keep), tuple(masses), tuple(tables), tuple(skipped)
-    )
+    return ConditionalCost(tuple(keep), tuple(masses), tuple(tables), tuple(skipped))
 
 
 @dataclass(frozen=True)
@@ -421,7 +418,6 @@ def default_pair_candidates(
         return []
     pairs = []
 
-    y_vals = None
     try:
         y_vals = [y.numeric_values() for y in problem.y_spaces]
     except NonNumericActions:
@@ -467,7 +463,7 @@ def certify_team_convexity(
     deterministic measurements and uniformly spaced numeric action
     grids.
     """
-    if precedence_graph(problem).edges:
+    if precedence_graph(problem):
         raise StaticRequired(
             "convexity certification requires a static problem; apply the "
             "static reduction first"

@@ -116,15 +116,6 @@ def join(p: Partition, *rest: Partition) -> Partition:
     return Partition.from_labels(p.ground, lambda i: tuple(index[i]))
 
 
-@dataclass(frozen=True)
-class PrecedenceGraph:
-    """Directed edges (k, i), k < i, meaning DM k's action can change
-    DM i's measurement distribution."""
-
-    n_dms: int
-    edges: tuple
-
-
 def affects(problem: TeamProblem, k: int, i: int) -> bool:
     """True iff some two histories differing only in u_k give DM i
     different measurement rows: DM i's stored kernel keeps the u_k axis
@@ -135,12 +126,13 @@ def affects(problem: TeamProblem, k: int, i: int) -> bool:
     return _compact(problem.kernels[i - 1].table).shape[k] > 1
 
 
-def precedence_graph(problem: TeamProblem) -> PrecedenceGraph:
+def precedence_graph(problem: TeamProblem) -> tuple:
+    """Directed edges (k, i), k < i, meaning DM k's action can change
+    DM i's measurement distribution, ordered by i, then k."""
     n = problem.n_dms
-    edges = tuple(
+    return tuple(
         (k, i) for i in range(2, n + 1) for k in range(1, i) if affects(problem, k, i)
     )
-    return PrecedenceGraph(n, edges)
 
 
 def _static_rows(problem: TeamProblem, dm: int) -> np.ndarray:
@@ -209,18 +201,12 @@ def classify(problem: TeamProblem) -> ISClass:
     partially nested when every edge (k, i) has DM i's information
     refining DM k's, and nonclassical otherwise.
     """
-    graph = precedence_graph(problem)
-    if not graph.edges:
+    edges = precedence_graph(problem)
+    if not edges:
         return ISClass.CLASSICAL if nested_along_order(problem) else ISClass.STATIC
-    if all(information_nested(problem, k, i) for (k, i) in graph.edges):
+    if all(information_nested(problem, k, i) for (k, i) in edges):
         return ISClass.PARTIALLY_NESTED
     return ISClass.NONCLASSICAL
-
-
-def is_partially_nested(problem: TeamProblem) -> bool:
-    """Every precedence edge is covered by nested information.  Holds
-    for every problem classify() does not label nonclassical."""
-    return classify(problem) is not ISClass.NONCLASSICAL
 
 
 def nested_along_order(problem: TeamProblem) -> bool:

@@ -32,7 +32,12 @@ from .errors import CapExceeded, DimensionMismatch, NonNumericActions, Validatio
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-ordered float array that no other array
+    writes to: an array owning its data is frozen and kept, a view (whose
+    base may still be written) is copied first."""
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
+    if out.base is not None:
+        out = out.copy()
     out.setflags(write=False)
     return out
 
@@ -139,7 +144,8 @@ class MeasurementKernel:
     along which the table is exactly constant is cut to length 1, and
     ``table`` is the read-only full-shape view of the stored rows, equal
     to the input value for value.  When nothing is cut, a C-contiguous
-    float input is itself frozen and kept, as ``CostTable`` does.
+    float input that owns its data is itself frozen and kept, as
+    ``CostTable`` does; a view is copied.
     """
 
     dm: int
@@ -156,7 +162,7 @@ class MeasurementKernel:
             if rows.shape[a] > 1 and rows.item(zero[:a] + (1,) + zero[a + 1 :]) == rows.item(zero):
                 first = rows[(slice(None),) * a + (slice(0, 1),)]
                 rows = first if (rows == first).all() else rows
-        rows = _readonly(rows.copy() if rows.size < t.size else rows)
+        rows = _readonly(rows)  # a cut table is a view of the input, so copied
         object.__setattr__(self, "dm", int(dm))
         full = rows if rows.shape == t.shape else np.broadcast_to(rows, t.shape)
         object.__setattr__(self, "table", full)
@@ -164,8 +170,9 @@ class MeasurementKernel:
 
 @dataclass(frozen=True)
 class CostTable:
-    """Joint cost indexed by (omega0, u1, ..., uN).  ``TeamProblem``
-    checks the shape; ``validate`` reports non-finite or negative values."""
+    """Joint cost indexed by (omega0, u1, ..., uN), kept as ``_readonly``
+    keeps it.  ``TeamProblem`` checks the shape; ``validate`` reports
+    non-finite or negative values."""
 
     table: np.ndarray = field(repr=False)
 

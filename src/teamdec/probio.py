@@ -180,7 +180,8 @@ def _table(section, maps: list, where: str, *words) -> np.ndarray:
     at = _written_at(keys, maps) if len(keys) == cells else None
     if at is not None:
         try:
-            floats = np.reshape(list(map(float, values)), shape)
+            floats = np.array(list(map(float, values)))
+            floats.shape = shape  # in place, so the table owns its cells
         except (TypeError, ValueError, OverflowError):
             at = None  # the split parse below names the value
     if at is ...:
@@ -222,7 +223,7 @@ def _kernel_table(section, k: int, maps: list, y_map: dict):
     table = np.zeros(shape if at is None else (len(keys), len(y_map)))
     table[tuple(np.repeat(h_idx, lengths, axis=1)) + (y_idx,)] = floats
     if at is not None:  # row i holds the i-th history in written order
-        table = table.reshape(shape)
+        table.shape = shape
         if at is not ...:
             table, written = np.zeros(shape), table
             table[at] = written
@@ -378,7 +379,6 @@ class ProblemFile:
     problem: TeamProblem
     annotation: Optional[SubsystemAnnotation]
     digest: str
-    path: str
 
 
 def digest_bytes(data: bytes) -> str:
@@ -452,7 +452,7 @@ def load_problem(path: str) -> ProblemFile:
     annotation = annotation_from_dict(doc)
     if annotation is not None:
         annotation.validate_against(problem)
-    return ProblemFile(problem, annotation, digest_bytes(data), path)
+    return ProblemFile(problem, annotation, digest_bytes(data))
 
 
 def save_problem(problem: TeamProblem, path: str, annotation=None) -> None:

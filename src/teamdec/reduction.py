@@ -115,8 +115,10 @@ class StaticReduction:
         kernels = []
         for t, ny in enumerate(y_sizes, start=1):
             # point mass on coordinate t of the exogenous tuple, whatever the actions
-            rows = np.eye(ny)[idx[t]].reshape((n_ex,) + (1,) * (t - 1) + (ny,))
-            kernels.append(MeasurementKernel(t, np.broadcast_to(rows, (n_ex, *u_sizes[: t - 1], ny))))
+            rows = np.eye(ny)[idx[t]]
+            rows.shape = (n_ex,) + (1,) * (t - 1) + (ny,)  # in place: the kernel keeps rows it owns
+            full = (n_ex, *u_sizes[: t - 1], ny)
+            kernels.append(MeasurementKernel(t, rows if rows.shape == full else np.broadcast_to(rows, full)))
 
         # cost over (omega, y1..yN, u1..uN), then flatten the exogenous part
         operands = [problem.cost.table, [0] + [n + 1 + j for j in range(n)]]
@@ -124,8 +126,12 @@ class StaticReduction:
             sub = [0] + [n + 1 + j for j in range(t - 1)] + [t]
             operands += [_compact(self.weights[t - 1]), sub]  # einsum broadcasts the cut axes
         out_sub = list(range(n + 1)) + [n + 1 + j for j in range(n)]
-        c = np.einsum(*operands, out_sub)
-        cost = CostTable(c.reshape((n_ex,) + c.shape[n + 1 :]))
+        # written into a C-ordered buffer whose exogenous axes then merge in
+        # place, so the cost table owns its cells and is not copied again
+        c = np.empty((len(problem.omega0), *y_sizes, *u_sizes))
+        np.einsum(*operands, out_sub, out=c)
+        c.shape = (n_ex, *u_sizes)
+        cost = CostTable(c)
 
         return TeamProblem(
             ex_space,

@@ -1,8 +1,7 @@
 """Optimal and locally-optimal solution search for team problems.
 
 Finite problems: exhaustive scan over deterministic profiles, single-DM
-best responses, cyclic person-by-person improvement, and the mixture
-relaxation (whose optimum is attained at a deterministic vertex).
+best responses and cyclic person-by-person improvement.
 Quadrature teams: finite-difference stationarity checks and a sampled
 first-order (directional-derivative) test at a candidate optimum.
 """
@@ -292,34 +291,6 @@ def pbp_iterate(
             converged = True
             break
     return PbpResult(current, value, tuple(trace), sweeps, converged)
-
-
-@dataclass(frozen=True)
-class MixtureResult:
-    """Optimum of the mixture relaxation over deterministic profiles.
-
-    The relaxation is linear in the mixing weights, so its optimum sits
-    at a vertex; ``support`` holds (profile index, weight) pairs and is
-    a single point mass on the vertex ``brute_force`` reports, the first
-    within ``TIE_TOL`` of the optimum.
-    """
-
-    value: float
-    support: tuple
-    profile: DeterministicProfile
-    n_profiles: int
-
-
-def mixture_lp(problem: TeamProblem, cap: int = ENUM_CAP) -> MixtureResult:
-    """Minimize expected cost over mixtures of deterministic profiles.
-
-    The objective is affine in the weights, so the scan over vertices is
-    exact; the result's value always equals the deterministic optimum.
-    """
-    res = brute_force(problem, cap=cap)
-    return MixtureResult(
-        res.value, ((res.index, 1.0),), res.profile, res.n_profiles
-    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from teamdec.solvers import (
     brute_force,
     check_krainak_inequality,
     check_stationarity,
-    mixture_lp,
 )
 from teamdec.strategic import (
     StrategicMeasure,
@@ -82,17 +81,16 @@ def test_a1_deterministic_policies_attain_the_optimum(capsys):
                 randomized = random_randomized_profile(problem, 1000 * seed + rep)
                 assert best.value <= expected_cost(problem, randomized) + 1e-12
                 checked += 1
-            # the LP's vertex against a literal scan that shares no code
-            # with the profile scan both solvers run on
+            # the optimal vertex against a literal scan that shares no
+            # code with the prefix scan
             literal = [
                 naive_expected_cost(problem, p)
                 for p in enumerate_profiles_literal(problem)
             ]
-            lp = mixture_lp(problem)
-            assert lp.value == pytest.approx(min(literal), abs=LP_TOL)
-            assert lp.support == ((int(np.argmin(literal)), 1.0),)
+            assert best.value == pytest.approx(min(literal), abs=LP_TOL)
+            assert best.index == int(np.argmin(literal))
         assert checked == 10_000
-        return "brute force below 10^4 randomized profiles on 100 teams; LP ties"
+        return "brute force below 10^4 randomized profiles on 100 teams; literal scan ties"
 
     _verdict(capsys, "A1", run)
 

@@ -21,7 +21,6 @@ from teamdec.infostruct import (
     affects,
     classify,
     information_nested,
-    is_partially_nested,
     is_stochastically_decoupled,
     join,
     meet,
@@ -163,8 +162,8 @@ def test_affects_and_precedence_on_broadcast_vs_dynamic_kernels():
     dyn = random_team(0, dynamic=True)
     assert not affects(static, 1, 2)
     assert affects(dyn, 1, 2)
-    assert precedence_graph(static).edges == ()
-    assert precedence_graph(dyn).edges == ((1, 2),)
+    assert precedence_graph(static) == ()
+    assert precedence_graph(dyn) == ((1, 2),)
 
 
 def varies_literal(table, axis) -> bool:
@@ -228,13 +227,12 @@ def test_stored_kernels_keep_the_table_and_affects_reads_their_shape(
         for k in range(1, i):
             assert affects(team, k, i) == varies_literal(tables[i - 1], k)
             edges += [(k, i)] if varies_literal(tables[i - 1], k) else []
-    assert precedence_graph(team).edges == tuple(sorted(edges, key=lambda e: (e[1], e[0])))
+    assert precedence_graph(team) == tuple(sorted(edges, key=lambda e: (e[1], e[0])))
 
 
 def test_classify_static_and_nonclassical():
     assert classify(random_team(1, dynamic=False)) is ISClass.STATIC
     assert classify(random_team(1, dynamic=True)) is ISClass.NONCLASSICAL
-    assert not is_partially_nested(random_team(1, dynamic=True))
 
 
 def test_classify_classical_on_static_nested_team():
@@ -247,10 +245,9 @@ def test_classify_partially_nested_on_relay_chain():
     """DM 2 sees (y1, u1) exactly, so the action edge 1->2 is nested; an
     action edge exists, so the label is partially nested, not classical."""
     team = relay_team(5)
-    assert precedence_graph(team).edges == ((1, 2),)
+    assert precedence_graph(team) == ((1, 2),)
     assert information_nested(team, 1, 2)
     assert classify(team) is ISClass.PARTIALLY_NESTED
-    assert is_partially_nested(team)
 
 
 def test_classify_partially_nested_with_unrelated_third_dm():
@@ -281,7 +278,7 @@ def test_classify_partially_nested_with_unrelated_third_dm():
         list(base.kernels) + [MeasurementKernel(3, t3)],
         CostTable(rng.uniform(0, 1, size=(len(base.omega0), 2, 2, 2))),
     )
-    assert precedence_graph(team).edges == ((1, 2),)
+    assert precedence_graph(team) == ((1, 2),)
     assert classify(team) is ISClass.PARTIALLY_NESTED
 
 

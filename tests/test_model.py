@@ -295,6 +295,29 @@ def test_no_write_through_the_callers_array_changes_the_kernel(table):
     assert np.array_equal(kernel.table, before)
 
 
+@pytest.mark.parametrize("view", [
+    lambda base: base[:],
+    lambda base: base.reshape(base.shape),
+    lambda base: base.reshape(-1).reshape(base.shape),
+], ids=["slice", "reshape", "reshape-of-a-reshape"])
+def test_no_write_through_the_base_of_a_view_changes_a_kernel_or_cost(view):
+    base = np.array([[0.5, 0.5], [0.25, 0.75]])
+    z = np.zeros((2, 2))
+    kernel, cost = MeasurementKernel(1, view(base)), CostTable(view(z))
+    other_base, other_z = base[:], z.reshape(-1)
+    base[0, 0] = z[0, 0] = 9.0
+    other_base[1, 1] = other_z[3] = 7.0
+    assert kernel.table.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    assert cost.table.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_owned_c_ordered_float_tables_are_kept_without_a_copy():
+    table, z = np.array([[0.5, 0.5], [0.25, 0.75]]), np.zeros((2, 2))
+    kernel, cost = MeasurementKernel(1, table), CostTable(z)
+    assert np.shares_memory(kernel.table, table) and np.shares_memory(cost.table, z)
+    assert not table.flags.writeable and not z.flags.writeable
+
+
 def test_team_problem_refuses_a_prior_on_another_space():
     team = random_team(2)
     other = FiniteSpace("v", ["a", "b", "c"])

@@ -169,7 +169,6 @@ def test_problem_file_roundtrip_digest_and_determinism(tmp_path):
     loaded = load_problem(str(path))
     assert_problems_equal(problem, loaded.problem)
     assert loaded.annotation is None
-    assert loaded.path == str(path)
     raw = path.read_bytes()
     assert loaded.digest == hashlib.sha256(raw).hexdigest()
     assert digest_bytes(raw) == loaded.digest

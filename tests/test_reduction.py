@@ -127,7 +127,7 @@ def test_materialized_reduction_is_static_and_equivalent():
     red = static_reduce(team)
     reduced = red.reduced_problem()
     assert validate(reduced) == []
-    assert precedence_graph(reduced).edges == ()
+    assert precedence_graph(reduced) == ()
     assert classify(reduced) is ISClass.STATIC
     assert len(reduced.omega0) == red.exogenous_size()
     # the exogenous prior is the product of the original prior and the

@@ -33,7 +33,6 @@ from teamdec.solvers import (
     check_krainak_inequality,
     check_stationarity,
     measurement_marginal,
-    mixture_lp,
     pbp_iterate,
     profile_values,
     response_table,
@@ -298,8 +297,6 @@ def test_profile_scans_take_more_measurements_than_numpy_has_axes():
     assert (res.n_profiles, res.index) == (2, int(np.argmin(want)))
     assert res.value == pytest.approx(min(want), abs=1e-12)
     assert [a.tolist() for a in res.profile.actions] == [[res.index], [0] * 70]
-    lp = mixture_lp(team)
-    assert lp.support == ((res.index, 1.0),) and lp.value == res.value
     assert profile_values(team, 2) == pytest.approx(want, abs=1e-12)
     assert profile_values(team, 1) == pytest.approx(want[:1], abs=1e-12)
 
@@ -498,18 +495,18 @@ def test_mixture_relaxation_sits_at_a_vertex():
         profiles = list(enumerate_profiles_literal(team))
         vals = [naive_expected_cost(team, p) for p in profiles]
         want = int(np.argmin(vals))
-        mixed = mixture_lp(team)
-        assert mixed.value == pytest.approx(vals[want], abs=LP_TOL)
-        assert mixed.n_profiles == len(profiles)
-        assert mixed.support == ((want, 1.0),)
+        best = brute_force(team)
+        assert best.value == pytest.approx(vals[want], abs=LP_TOL)
+        assert best.n_profiles == len(profiles)
+        assert best.index == want
         assert all(
             np.array_equal(a, b)
-            for a, b in zip(mixed.profile.actions, profiles[want].actions)
+            for a, b in zip(best.profile.actions, profiles[want].actions)
         )
         # no randomized profile does better than the vertex optimum
         for trial in range(10):
             rnd = random_randomized_profile(team, 50 * seed + trial)
-            assert mixed.value <= expected_cost(team, rnd) + 1e-12
+            assert best.value <= expected_cost(team, rnd) + 1e-12
 
 
 # ------------------------------------------------- quadrature-team checks
