@@ -14,7 +14,8 @@ EQ_TOL = 1e-12
 # Expected-cost agreement between a problem and its static reduction.
 REDUCTION_TOL = 1e-10
 
-# Agreement between the mixture linear program and brute-force enumeration.
+# For checking a `solve --method mixture-lp` value against an independent
+# scan.  No library code compares with it; reports carry it as lp_tol.
 LP_TOL = 1e-9
 
 # Two profile costs within this much (relative to max(1, |optimum|)) tie;

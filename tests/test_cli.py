@@ -20,6 +20,7 @@ import pytest
 import teamdec
 from teamdec import cli, strategic
 from teamdec.cli import main
+from teamdec.constants import LP_TOL
 from teamdec.convexity import (
     BlockRecord,
     CellWitness,
@@ -285,6 +286,29 @@ def test_solve_brute_and_mixture_lp_agree(tmp_path, capsys):
     assert lp["support"] == [[brute["profile_index"], 1.0]]
     assert lp["profile"] == brute["profile"]
     assert brute["n_profiles"] == 16
+
+
+@pytest.mark.parametrize("seed, y_sizes, u_sizes", [
+    (0, (2, 2), (2, 2)),
+    (1, (2, 3), (3, 2)),
+    (2, (3, 1), (2, 3)),
+    (3, (2, 1, 2), (2, 2, 2)),
+])
+def test_solve_mixture_lp_reports_the_vertex_a_literal_scan_finds(
+    tmp_path, capsys, seed, y_sizes, u_sizes
+):
+    team = random_team(seed, y_sizes=y_sizes, u_sizes=u_sizes, dynamic=bool(seed % 2))
+    path = write_team(tmp_path, "team.json", team)
+    loaded = load_problem(path).problem  # the scan reads what the CLI reads
+    profiles = list(enumerate_profiles_literal(loaded))
+    values = [naive_expected_cost(loaded, p) for p in profiles]
+    want = int(np.argmin(values))
+    code, rep = run_cli(capsys, "solve", path, "--method", "mixture-lp")
+    assert code == 0
+    assert rep["value"] == pytest.approx(values[want], abs=LP_TOL)
+    assert rep["support"] == [[want, 1.0]]
+    assert rep["profile"]["action_indices"] == [a.tolist() for a in profiles[want].actions]
+    assert rep["n_profiles"] == len(profiles)
 
 
 def test_solve_pbp_init_inline_and_file(tmp_path, capsys):

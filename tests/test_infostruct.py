@@ -503,3 +503,17 @@ def test_stochastic_decoupling_verdicts_from_gallery_annotation():
     assert is_stochastically_decoupled(good.problem, good.annotation)
     bad = decoupled_example(coupled=True)
     assert not is_stochastically_decoupled(bad.problem, bad.annotation)
+
+
+def test_a_dm_that_owns_no_state_factor_is_not_checked():
+    from teamdec.gallery import decoupled_example
+
+    def owning(bundle, groups):
+        ann = bundle.annotation
+        return SubsystemAnnotation(ann.factor_sizes, groups, ann.shared_factors)
+
+    good = decoupled_example()
+    assert is_stochastically_decoupled(good.problem, owning(good, ((0,), ())))
+    # DM 2 sees its state mixed with DM 1's, so DM 2 alone fails the check
+    bad = decoupled_example(coupled=True)
+    assert not is_stochastically_decoupled(bad.problem, owning(bad, ((), (1,))))

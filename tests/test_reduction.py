@@ -218,6 +218,20 @@ def test_custom_references_keep_equivalence():
         )
 
 
+def test_a_plain_array_reference_reduces_as_its_pmf_does():
+    team = random_team(5, dynamic=True)
+    masses = [np.linspace(1.0, 2.0, len(y)) for y in team.y_spaces]
+    masses = [m / m.sum() for m in masses]
+    plain = static_reduce(team, masses)
+    pmfs = static_reduce(team, [Pmf(y, m) for y, m in zip(team.y_spaces, masses)])
+    for a, b in zip(plain.references, pmfs.references):
+        assert a.space == b.space and np.array_equal(a.mass, b.mass)
+    for a, b in zip(plain.weights, pmfs.weights):
+        assert np.array_equal(a, b)
+    prof = random_profile(team, 5)
+    assert plain.reduced_expected_cost(prof) == pmfs.reduced_expected_cost(prof)
+
+
 def test_absolute_continuity_failure_names_the_offender():
     team = random_team(6, dynamic=True)
     ny1 = len(team.y_spaces[0])

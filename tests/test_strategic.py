@@ -549,6 +549,16 @@ def test_threshold_policy_intervals_are_exact():
             realize_kernel_as_function(np.array(bad))
 
 
+def test_threshold_policy_draws_at_the_rounded_last_cut_take_the_last_action():
+    # ten masses of 0.1 add up to just under 1, so the draw at the last cut
+    # lies in no piece and falls back to the last action with positive mass
+    pol = realize_kernel_as_function(np.full((1, 10), 0.1))
+    last = float(pol.cum[0, -1])
+    assert last == 0.9999999999999999
+    assert pol.action(last, 0) == 9
+    assert pol.action(np.nextafter(last, 0.0), 0) == 9
+
+
 def test_threshold_policy_sampling_frequencies():
     kern = np.array([[0.15, 0.6, 0.25]])
     pol = realize_kernel_as_function(kern)
