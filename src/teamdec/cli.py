@@ -288,7 +288,7 @@ def cmd_gallery(args) -> dict:
     seed = args.seed
     if name == "witsenhausen":
         bundle = witsenhausen(args.k, args.sigma, _gallery_spec(args))
-        report = {"k": bundle.k, "sigma": bundle.sigma}
+        report = {"k": bundle.team.k, "sigma": bundle.team.sigma}
         check = args.check or "affine-vs-quantizer"
         if check == "affine-vs-quantizer":
             report.update(to_jsonable(bundle.affine_vs_quantizer()))
@@ -321,12 +321,12 @@ def cmd_gallery(args) -> dict:
     if name == "signaling":
         bundle = signaling(args.k, args.sigma, _gallery_spec(args))
         check = args.check or "affine-vs-search"
-        report = {"k": bundle.k, "sigma": bundle.sigma}
+        report = {"k": bundle.team.k, "sigma": bundle.team.sigma}
         if check == "affine-vs-search":
             report.update(to_jsonable(bundle.discretized_search(seed=seed)))
         elif check == "zero-encoder":
             report["value_zero_encoder"] = bundle.zero_encoder_value()
-            report["state_variance"] = bundle.sigma**2
+            report["state_variance"] = bundle.team.sigma**2
         else:
             raise ValidationError(f"unknown signaling check {check!r}")
         return report

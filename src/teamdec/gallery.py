@@ -48,6 +48,7 @@ from .model import (
 )
 from .quadrature import (
     CERTIFY_SPEC,
+    QuadMidpointReport,
     QuadratureSpec,
     TwoStageGaussianTeam,
     discretize,
@@ -85,14 +86,6 @@ class GaussianBundle:
     problem: TeamProblem
     reduction: StaticReduction
 
-    @property
-    def k(self) -> float:
-        return self.team.k
-
-    @property
-    def sigma(self) -> float:
-        return self.team.sigma
-
     def affine_optimum(self):
         return self.team.affine_optimum()
 
@@ -105,7 +98,7 @@ class GaussianBundle:
 
 
 @dataclass(frozen=True)
-class EncoderFlipReport:
+class EncoderFlipReport(QuadMidpointReport):
     """Midpoint test for a pair differing only in the encoder's sign.
 
     Both members share the posterior-mean decoder of the two-point
@@ -116,13 +109,7 @@ class EncoderFlipReport:
     than the average of the endpoints and midpoint convexity fails.
     """
 
-    value_a: float
-    value_b: float
-    value_mid: float
-    value_avg: float
-    violation: float
     first_stage_mid: float
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -178,16 +165,8 @@ class WitsenhausenBundle(GaussianBundle):
         """Closed-form non-convexity witness: see EncoderFlipReport."""
         pa, pb = self.encoder_flip_pair()
         rep = self.team.midpoint_test(pa, pb, 0.5)
-        first_stage = self.k**2 * self.sigma**2
-        return EncoderFlipReport(
-            rep.value_a,
-            rep.value_b,
-            rep.value_mid,
-            rep.value_avg,
-            rep.violation,
-            first_stage,
-            0.5,
-        )
+        first_stage = self.team.k**2 * self.team.sigma**2
+        return EncoderFlipReport(**vars(rep), first_stage_mid=first_stage)
 
     def negation_bound(self) -> NegationBoundReport:
         """Averaged cost of the fully negated two-point pair versus the
@@ -200,7 +179,7 @@ class WitsenhausenBundle(GaussianBundle):
         ja = self.team.expected_cost_policies(enc, dec)
         jb = self.team.expected_cost_policies(neg_enc, neg_dec)
         avg = 0.5 * (ja + jb)
-        zero = self.k**2 * self.sigma**2
+        zero = self.team.k**2 * self.team.sigma**2
         return NegationBoundReport(ja, jb, avg, zero, avg - zero)
 
 
@@ -233,15 +212,11 @@ class SignalingBundle(GaussianBundle):
         )
 
     def grid_tolerance(self) -> float:
-        r = self.spec.u_range_sigmas * self.sigma
+        r = self.spec.u_range_sigmas * self.team.sigma
         h1 = 2 * r / (self.spec.u1_points - 1)
         h2 = 2 * r / (self.spec.u2_points - 1)
-        h_y2 = (
-            2
-            * (r + self.spec.y2_pad)
-            / (self.spec.y2_points - 1)
-        )
-        curvature = 1.0 + self.k**2
+        h_y2 = 2 * (r + self.spec.y2_pad) / (self.spec.y2_points - 1)
+        curvature = 1.0 + self.team.k**2
         return curvature * (h1**2 + h2**2 + h_y2**2) / 2.0
 
     def discretized_search(self, seed: int = 0) -> AffineSearchReport:
@@ -256,8 +231,8 @@ class SignalingBundle(GaussianBundle):
             ),
             snap_profile(
                 self.problem,
-                lambda y: g * self.sigma * np.sign(y),
-                lambda y: c * self.sigma * np.sign(y),
+                lambda y: g * self.team.sigma * np.sign(y),
+                lambda y: c * self.team.sigma * np.sign(y),
             ),
         ]
         inits += seeded_profiles(self.problem, seed, 4)
@@ -603,24 +578,18 @@ def decoupled_example(coupled: bool = False) -> DecoupledBundle:
         shared_factors=(2,),
     )
 
-    x1_space = FiniteSpace("x1", list(bits))
-    sub1 = TeamProblem(
-        x1_space,
-        Pmf(x1_space, [p_x1, 1 - p_x1]),
-        [FiniteSpace("m1", list(bits))],
-        [FiniteSpace("u1", list(bits))],
-        [MeasurementKernel(1, b1)],
-        CostTable(np.array([[0.0, 1.0], [1.0, 0.0]])),
-        name="subsystem-1",
-    )
-    x2_space = FiniteSpace("x2", list(bits))
-    sub2 = TeamProblem(
-        x2_space,
-        Pmf.uniform(x2_space),
-        [FiniteSpace("m2", list(bits))],
-        [FiniteSpace("u2", list(bits))],
-        [MeasurementKernel(1, b2)],
-        CostTable(2.0 * np.array([[0.0, 1.0], [1.0, 0.0]])),
-        name="subsystem-2",
-    )
-    return DecoupledBundle(problem, annotation, (sub1, sub2), coupled)
+    subsystems = []
+    for i, (p0, channel, weight) in enumerate(((p_x1, b1, 1.0), (0.5, b2, 2.0)), 1):
+        x_space = FiniteSpace(f"x{i}", list(bits))
+        subsystems.append(
+            TeamProblem(
+                x_space,
+                Pmf(x_space, [p0, 1 - p0]),
+                [FiniteSpace(f"m{i}", list(bits))],
+                [FiniteSpace(f"u{i}", list(bits))],
+                [MeasurementKernel(1, channel)],
+                CostTable(weight * np.array([[0.0, 1.0], [1.0, 0.0]])),
+                name=f"subsystem-{i}",
+            )
+        )
+    return DecoupledBundle(problem, annotation, tuple(subsystems), coupled)

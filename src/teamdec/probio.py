@@ -1,6 +1,6 @@
 """JSON problem files.
 
-A problem document has five sections:
+A problem document has four sections:
 
 * ``spaces``: ``omega0`` plus per-DM ``measurements`` and ``actions``
   entries, each a ``{"name": ..., "points": [...]}`` record (points may
@@ -10,8 +10,9 @@ A problem document has five sections:
 * ``kernels``: one table per DM, keyed by the history — the exogenous
   label for DM 1, then earlier action labels joined with ``|`` — whose
   value maps measurement labels to probabilities;
-* ``cost``: map from ``omega|u1|...|uN`` to the cost value;
-* ``annotations`` (optional): subsystem metadata for decoupling checks.
+* ``cost``: map from ``omega|u1|...|uN`` to the cost value.
+
+An optional ``name`` names the problem; any other key is ignored.
 
 String forms of points must be unique within a space and must not
 contain the ``|`` separator.
@@ -37,22 +38,25 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constants import TABLE_CAP
-from .errors import CapExceeded, MalformedAnnotation, ValidationError
-from .infostruct import SubsystemAnnotation
+from .errors import CapExceeded, ValidationError
 from .model import CostTable, FiniteSpace, MeasurementKernel, Pmf, TeamProblem, _compact
 from .strategic import StrategicMeasure, _joint_spaces
 
 SEP = "|"
 
 
-def _to_point(v):
+def _to_point(v, space: str):
     if isinstance(v, list):
-        return tuple(_to_point(x) for x in v)
+        return tuple(_to_point(x, space) for x in v)
+    if type(v) not in _PLAIN:
+        raise ValidationError(
+            f"space {space!r} has point {v!r}; a point is a string, number, "
+            "bool, null or list of these"
+        )
     return v
 
 
@@ -84,9 +88,8 @@ def _space_from_dict(d, default_name: str) -> FiniteSpace:
         raise ValidationError(
             f"space entry for {default_name!r} must be a dict with 'points'"
         )
-    return FiniteSpace(
-        str(d.get("name", default_name)), [_to_point(p) for p in d["points"]]
-    )
+    name = str(d.get("name", default_name))
+    return FiniteSpace(name, [_to_point(p, name) for p in d["points"]])
 
 
 def _object(value, what: str) -> dict:
@@ -272,27 +275,6 @@ def problem_from_dict(doc: dict) -> TeamProblem:
     )
 
 
-def annotation_from_dict(doc: dict) -> Optional[SubsystemAnnotation]:
-    ann = doc.get("annotations")
-    if not ann:
-        return None
-    sub = _object(ann, "annotations section").get("subsystems")
-    if not sub:
-        return None
-
-    def ints(xs):
-        return tuple(int(x) for x in xs)
-
-    try:
-        return SubsystemAnnotation(
-            factor_sizes=ints(sub["factor_sizes"]),
-            dm_state_factors=tuple(map(ints, sub["dm_state_factors"])),
-            shared_factors=ints(sub.get("shared_factors", ())),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedAnnotation(f"bad subsystems annotation: {e}") from e
-
-
 def _key_blocks(pieces: list):
     """Every concatenation of one string from each list, in C order (the
     last list varies fastest), one block per string of the first list; a
@@ -333,7 +315,7 @@ def _check_labels(problem: TeamProblem) -> None:
         _label_map(s)
 
 
-def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
+def problem_to_dict(problem: TeamProblem) -> dict:
     _check_labels(problem)
     history = [[str(p) for p in s.points] for s in [problem.omega0, *problem.u_spaces]]
 
@@ -352,7 +334,7 @@ def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
             for key, i in zip(_keys(history[:k]), at)
         }
 
-    doc = {
+    return {
         "name": problem.name,
         "spaces": {
             "omega0": space_dict(problem.omega0),
@@ -363,21 +345,11 @@ def problem_to_dict(problem: TeamProblem, annotation=None) -> dict:
         "kernels": [kernel_dict(k) for k in range(1, problem.n_dms + 1)],
         "cost": _nonzero(history, problem.cost.table),
     }
-    if annotation is not None:
-        doc["annotations"] = {
-            "subsystems": {
-                "factor_sizes": list(annotation.factor_sizes),
-                "dm_state_factors": [list(g) for g in annotation.dm_state_factors],
-                "shared_factors": list(annotation.shared_factors),
-            }
-        }
-    return doc
 
 
 @dataclass(frozen=True)
 class ProblemFile:
     problem: TeamProblem
-    annotation: Optional[SubsystemAnnotation]
     digest: str
 
 
@@ -448,16 +420,12 @@ def json_text(doc, default=None) -> str:
 
 def load_problem(path: str) -> ProblemFile:
     doc, data = read_json(path)
-    problem = problem_from_dict(doc)
-    annotation = annotation_from_dict(doc)
-    if annotation is not None:
-        annotation.validate_against(problem)
-    return ProblemFile(problem, annotation, digest_bytes(data))
+    return ProblemFile(problem_from_dict(doc), digest_bytes(data))
 
 
-def save_problem(problem: TeamProblem, path: str, annotation=None) -> None:
+def save_problem(problem: TeamProblem, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(problem_to_dict(problem, annotation)))
+        fh.write(json_text(problem_to_dict(problem)))
 
 
 # -- strategic measures -----------------------------------------------------

@@ -389,32 +389,25 @@ class StaticLQTeam:
         """For each DM and each node of its measurement's marginal, the
         conditional derivative of the cost in that DM's action at the
         profile; all zero (to quadrature accuracy) at an optimum."""
-        theta = np.asarray(theta, dtype=float)
-        a1, b1, a2, b2 = theta
+        a, b = np.asarray(theta, dtype=float).reshape(2, 2).T
+        s_var = self.sigma_s**2
+        n_var = (self.sigma1**2, self.sigma2**2)
+        rho = (self.rho1, self.rho2)
+        eps, we = gauss_hermite(self.n_nodes, 1.0)
         out = []
-        for i in (1, 2):
-            s_var = self.sigma_s**2
-            n_var = self.sigma1**2 if i == 1 else self.sigma2**2
-            o_var = self.sigma2**2 if i == 1 else self.sigma1**2
-            m = s_var + n_var
+        for own, other in ((0, 1), (1, 0)):
+            m = s_var + n_var[own]
             y_nodes, _ = gauss_hermite(self.n_nodes, np.sqrt(m))
             kappa = s_var / m
-            tau = np.sqrt(s_var * n_var / m)
-            eps, we = gauss_hermite(self.n_nodes, 1.0)
-            no, wo = gauss_hermite(self.n_nodes, np.sqrt(o_var))
+            tau = np.sqrt(s_var * n_var[own] / m)
+            no, wo = gauss_hermite(self.n_nodes, np.sqrt(n_var[other]))
             Y = y_nodes[:, None, None]
             S = kappa * Y + tau * eps[None, :, None]
             Yo = S + no[None, None, :]
             W = we[None, :, None] * wo[None, None, :]
-            if i == 1:
-                u_own = a1 * Y + b1
-                u_oth = a2 * Yo + b2
-                rho = self.rho1
-            else:
-                u_own = a2 * Y + b2
-                u_oth = a1 * Yo + b1
-                rho = self.rho2
-            deriv = 2.0 * ((1 + rho) * u_own + u_oth - S)
+            u_own = a[own] * Y + b[own]
+            u_oth = a[other] * Yo + b[other]
+            deriv = 2.0 * ((1 + rho[own]) * u_own + u_oth - S)
             out.append((W * deriv).sum(axis=(1, 2)))
         return out
 

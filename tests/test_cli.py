@@ -50,6 +50,7 @@ from teamdec.solvers import pbp_iterate
 from teamdec.strategic import FailureRecord, induce_LA, mix
 
 from conftest import (
+    deterministic_team,
     enumerate_profiles_literal,
     naive_expected_cost,
     random_profile,
@@ -230,6 +231,53 @@ def test_missing_file_and_broken_json_exit_2(tmp_path, capsys):
         assert message in report["error"]["message"]
 
 
+def test_a_json_object_point_gets_a_report_not_a_traceback(tmp_path):
+    doc = problem_to_dict(random_team(0))
+    doc["spaces"]["omega0"]["points"][-1] = {}
+    path = tmp_path / "object-point.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(teamdec.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "teamdec.cli", "validate", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stderr) == (2, "")
+    report = json.loads(run.stdout)  # one JSON object, nothing after it
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": "space 'w' has point {}; a point is a string, number, bool, "
+        "null or list of these",
+    }
+
+
+@pytest.mark.parametrize("annotations", [
+    {"subsystems": {"factor_sizes": [2], "dm_state_factors": [[0], []], "shared_factors": []}},
+    {"subsystems": {"factor_sizes": [3]}},
+], ids=["valid", "malformed"])
+def test_an_annotations_section_changes_no_report(tmp_path, capsys, annotations):
+    # the reader ignores keys it does not know, annotations among them
+    problem = deterministic_team(4, 2, [(2, 2), (2, 2)], zero_prior=False)
+    plain = write_team(tmp_path, "plain.json", problem)
+    doc = json.loads((tmp_path / "plain.json").read_text())
+    annotated = tmp_path / "annotated.json"
+    annotated.write_text(json.dumps({**doc, "annotations": annotations}))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps(measure_to_dict(induce_LA(problem, random_profile(problem, 0)))))
+    for command in (
+        ["validate"], ["classify"], ["reduce"], ["certify-convexity"],
+        ["solve", "--method", "brute"], ["solve", "--method", "pbp"],
+        ["solve", "--method", "mixture-lp"], ["strategic", "enumerate"],
+        ["strategic", "witness"], ["strategic", "check", "--measure", str(measure)],
+    ):
+        code, want = run_cli(capsys, *command, plain)
+        assert code == 0, want
+        del want["input_digest"]
+        code, got = run_cli(capsys, *command, str(annotated))
+        assert code == 0, got
+        del got["input_digest"]
+        assert got == want, command
+
+
 def test_unknown_subcommand_and_choice_are_usage_errors(tmp_path, capsys):
     for argv in (
         ["frobnicate", "x.json"],
@@ -408,7 +456,10 @@ def test_report_bytes_match_the_recursive_encoder(tmp_path):
                 Fraction(-1, 12), Fraction(1, 10), True,
             )
         ],
-        "encoder_flip": EncoderFlipReport(1.0, 1.0, 1.5, 1.0, 0.5, 0.04, 0.5),
+        "encoder_flip": EncoderFlipReport(
+            value_a=1.0, value_b=1.0, value_mid=1.5, value_avg=1.0, violation=0.5,
+            first_stage_mid=0.04, lam=0.5,
+        ),
         "negation_bound": NegationBoundReport(2.0, 2.0, 2.0, 1.0, np.float64(1.0)),
         "violations": [
             Violation("kernel-row", (1,) + np.unravel_index(3, (2, 2)), "row"),
@@ -428,6 +479,15 @@ def test_report_bytes_match_the_recursive_encoder(tmp_path):
 def test_numpy_bools_are_written_as_json_bools():
     text = json_text({"x": np.bool_(True), "y": [np.bool_(False)]}, default=cli.to_jsonable)
     assert '"x": true' in text and json.loads(text) == {"x": True, "y": [False]}
+
+
+def test_a_report_value_of_unknown_type_is_written_as_its_str():
+    class Tag:
+        def __str__(self):
+            return "tag-7"
+
+    text = json_text({"tag": Tag(), "tags": [Tag()]}, default=cli.to_jsonable)
+    assert json.loads(text) == {"tag": "tag-7", "tags": ["tag-7"]}
 
 
 def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):

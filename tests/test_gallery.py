@@ -36,7 +36,7 @@ from conftest import naive_expected_cost
 
 def test_witsenhausen_affine_and_quantizer_anchors():
     wb = witsenhausen()
-    assert wb.k == 0.2 and wb.sigma == 5.0
+    assert wb.team.k == 0.2 and wb.team.sigma == 5.0
 
     aff = wb.affine_optimum()
     assert aff.gain == pytest.approx(0.9582575694955842, abs=1e-12)
@@ -147,7 +147,7 @@ def test_negation_bound_report():
     # averaging a policy with its negation cannot beat playing zero:
     # the first stage alone already averages to k^2 (sigma^2 + E enc^2)
     _, _, level, _ = wb.quantizer()
-    first_stage_floor = wb.k**2 * (wb.sigma**2 + level**2)
+    first_stage_floor = wb.team.k**2 * (wb.team.sigma**2 + level**2)
     assert report.value_avg >= first_stage_floor - 1e-9
 
 
@@ -160,7 +160,7 @@ def test_signaling_closed_form_and_zero_encoder():
     sb = signaling()
     aff = sb.affine_optimum()
     # closed form: squared gain (sigma/k - 1)/sigma^2, value sigma/k * k^2 ...
-    k, sigma = sb.k, sb.sigma
+    k, sigma = sb.team.k, sb.team.sigma
     gain_sq = (sigma / k - 1.0) / sigma**2
     assert aff.gain == pytest.approx(math.sqrt(gain_sq), abs=1e-12)
     assert aff.value == pytest.approx(1.96, abs=1e-12)

@@ -1,4 +1,4 @@
-"""JSON round-trips for problems, annotations, and strategic measures."""
+"""JSON round-trips for problems and strategic measures."""
 
 import dataclasses
 import hashlib
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from teamdec import model, probio
 from teamdec.cli import to_jsonable
-from teamdec.errors import CapExceeded, MalformedAnnotation, ValidationError
+from teamdec.errors import CapExceeded, ValidationError
 from teamdec.gallery import decoupled_example
 from teamdec.model import (
     CostTable,
@@ -25,7 +25,6 @@ from teamdec.model import (
     TeamProblem,
 )
 from teamdec.probio import (
-    annotation_from_dict,
     digest_bytes,
     json_text,
     load_measure,
@@ -168,7 +167,6 @@ def test_problem_file_roundtrip_digest_and_determinism(tmp_path):
     save_problem(problem, str(path))
     loaded = load_problem(str(path))
     assert_problems_equal(problem, loaded.problem)
-    assert loaded.annotation is None
     raw = path.read_bytes()
     assert loaded.digest == hashlib.sha256(raw).hexdigest()
     assert digest_bytes(raw) == loaded.digest
@@ -198,16 +196,26 @@ def test_sparse_zeros_are_omitted_and_restored(tmp_path):
     assert_problems_equal(problem, load_problem(str(path)).problem)
 
 
-def test_tuple_points_and_annotation_roundtrip(tmp_path):
+def test_tuple_points_roundtrip(tmp_path):
     bundle = decoupled_example()
     path = tmp_path / "decoupled.json"
-    save_problem(bundle.problem, str(path), annotation=bundle.annotation)
+    save_problem(bundle.problem, str(path))
     loaded = load_problem(str(path))
     assert_problems_equal(bundle.problem, loaded.problem)
     # tuple-valued points survive the JSON list encoding
     assert all(isinstance(p, tuple) for p in loaded.problem.omega0.points)
-    assert loaded.annotation == bundle.annotation
-    loaded.annotation.validate_against(loaded.problem)
+
+
+@pytest.mark.parametrize("pick, point, space", [
+    (lambda spaces: spaces["omega0"], {}, "w"),
+    (lambda spaces: spaces["measurements"][0], [0, {"a": 1}], "y1"),
+    (lambda spaces: spaces["actions"][1], [[1.0, [{}]]], "u2"),
+])
+def test_a_point_holding_a_json_object_is_refused_naming_its_space(pick, point, space):
+    doc = problem_to_dict(random_team(0))
+    pick(doc["spaces"])["points"][-1] = point
+    with pytest.raises(ValidationError, match=f"space '{space}' has point"):
+        problem_from_dict(doc)
 
 
 def test_missing_sections_and_bad_spaces_are_rejected():
@@ -315,40 +323,6 @@ def test_measure_writer_refuses_labels_the_reader_would_refuse():
         measure_to_dict(measure)
     assert str(wrote_measure.value) == str(wrote_problem.value)
     assert "reserved separator" in str(wrote_measure.value)
-
-
-def test_annotation_parsing_errors():
-    assert annotation_from_dict({}) is None
-    assert annotation_from_dict({"annotations": {}}) is None
-    assert annotation_from_dict({"annotations": {"subsystems": {}}}) is None
-    with pytest.raises(ValidationError, match="annotations section must be"):
-        annotation_from_dict({"annotations": [1]})
-
-    with pytest.raises(MalformedAnnotation):
-        annotation_from_dict(
-            {"annotations": {"subsystems": {"factor_sizes": [2, 2]}}}
-        )
-    with pytest.raises(MalformedAnnotation):
-        annotation_from_dict(
-            {
-                "annotations": {
-                    "subsystems": {
-                        "factor_sizes": [2, "x"],
-                        "dm_state_factors": [[0], [1]],
-                    }
-                }
-            }
-        )
-
-
-def test_mismatched_annotation_fails_on_load(tmp_path):
-    bundle = decoupled_example()
-    doc = problem_to_dict(bundle.problem, annotation=bundle.annotation)
-    doc["annotations"]["subsystems"]["factor_sizes"] = [2, 2]  # product 4 != 8
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedAnnotation):
-        load_problem(str(path))
 
 
 def test_measure_roundtrip_deterministic_and_randomized(tmp_path):
