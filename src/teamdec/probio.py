@@ -3,8 +3,9 @@
 A problem document has four sections:
 
 * ``spaces``: ``omega0`` plus per-DM ``measurements`` and ``actions``
-  entries, each a ``{"name": ..., "points": [...]}`` record (points may
-  be numbers, strings, or lists, which load as tuples);
+  entries, each a ``{"name": ..., "points": [...]}`` record (points are
+  strings, numbers, bools, nulls or lists of these, which load as tuples;
+  any other point is a ValidationError naming its space);
 * ``prior``: map from an exogenous point's string form to its mass
   (omitted points carry zero mass);
 * ``kernels``: one table per DM, keyed by the history — the exogenous
@@ -54,8 +55,8 @@ def _to_point(v, space: str):
         return tuple(_to_point(x, space) for x in v)
     if type(v) not in _PLAIN:
         raise ValidationError(
-            f"space {space!r} has point {v!r}; a point is a string, number, "
-            "bool, null or list of these"
+            f"a point of space {space!r} holds {v!r}; points are strings, "
+            "numbers, bools, nulls or lists of these"
         )
     return v
 

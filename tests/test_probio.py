@@ -206,18 +206,6 @@ def test_tuple_points_roundtrip(tmp_path):
     assert all(isinstance(p, tuple) for p in loaded.problem.omega0.points)
 
 
-@pytest.mark.parametrize("pick, point, space", [
-    (lambda spaces: spaces["omega0"], {}, "w"),
-    (lambda spaces: spaces["measurements"][0], [0, {"a": 1}], "y1"),
-    (lambda spaces: spaces["actions"][1], [[1.0, [{}]]], "u2"),
-])
-def test_a_point_holding_a_json_object_is_refused_naming_its_space(pick, point, space):
-    doc = problem_to_dict(random_team(0))
-    pick(doc["spaces"])["points"][-1] = point
-    with pytest.raises(ValidationError, match=f"space '{space}' has point"):
-        problem_from_dict(doc)
-
-
 def test_missing_sections_and_bad_spaces_are_rejected():
     with pytest.raises(ValidationError):
         problem_from_dict([])
@@ -446,6 +434,10 @@ def test_malformed_values_and_sections_are_validation_errors():
         (("spaces",), ["omega0"], "spaces section must be a JSON object"),
         (("spaces", "measurements"), 5, "equal-length, nonempty"),
         (("spaces", "omega0", "points"), 5, "space entry for 'omega0' must be"),
+        (("spaces", "omega0", "points", -1), {}, "a point of space 'w' holds {}"),
+        (("spaces", "measurements", 0, "points", -1), [0, {"a": 1}],
+         "a point of space 'y1' holds {'a': 1}"),
+        (("spaces", "actions", 1, "points", -1), [[1.0, [{}]]], "a point of space 'u2' holds {}"),
     ]
     for path, value, message in cases:
         doc = json.loads(json.dumps(base))
