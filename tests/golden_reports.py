@@ -26,7 +26,6 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "golden_reports.json")
-ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 SEEDS = (1, 2, 3)
 GALLERY = {
@@ -57,10 +56,10 @@ def regenerate(workdir: str) -> dict:
     import teamdec.cli
     from workloads import FiniteTeams
 
-    out = {}
+    out, teams = {}, FiniteTeams()
     for seed in SEEDS:
-        st = FiniteTeams().setup(seed, os.path.join(workdir, f"s{seed}"))
-        FiniteTeams().round(st)
+        st = teams.setup(seed, os.path.join(workdir, f"s{seed}"))
+        teams.round(st)
         for name, path in st.files.items():
             out[f"s{seed}/{name}.json"] = _digest(path)
         for team, cmd, _, path in st.ops:
@@ -89,6 +88,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    os.environ.update(ONE_THREAD)  # before numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     sys.exit(main())
