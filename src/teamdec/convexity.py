@@ -20,13 +20,13 @@ spaced numeric action grids so that index midpoints are value midpoints.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import MIDPOINT_TOL, STRICT_RATE, TABLE_CAP
 from .errors import CapExceeded, NonNumericActions, StaticRequired, ValidationError
@@ -41,6 +41,8 @@ from .infostruct import (
 from .model import DeterministicProfile, TeamProblem, expected_cost
 from . import solvers
 from .solvers import seeded_profiles
+
+_log = logging.getLogger(__name__)
 
 
 class VerdictKind(Enum):
@@ -67,21 +69,25 @@ def conditional_cost(problem: TeamProblem, partition: Partition) -> ConditionalC
             "partition ground has size "
             f"{len(partition.ground)}, expected {len(problem.omega0)}"
         )
-    mu = problem.prior.mass
-    cost = problem.cost.table
     keep, masses, tables, skipped = [], [], [], []
-    for b, block in enumerate(partition.blocks):
-        idx = np.fromiter(block, dtype=int)
-        mass = float(mu[idx].sum())
-        if mass <= 0.0:
+    for b, mass, table in _block_costs(problem, partition):
+        if table is None:
             skipped.append(b)
             continue
-        w = mu[idx] / mass
-        table = np.tensordot(w, cost[idx], axes=(0, 0))
         keep.append(b)
         masses.append(mass)
         tables.append(table)
     return ConditionalCost(tuple(keep), tuple(masses), tuple(tables), tuple(skipped))
+
+
+def _block_costs(problem: TeamProblem, partition: Partition):
+    """(block index, mass, conditional cost table) block by block, built
+    as they are asked for; a zero-mass block's table is None."""
+    mu, cost = problem.prior.mass, problem.cost.table
+    for b, block in enumerate(partition.blocks):
+        idx = np.fromiter(block, dtype=int)
+        mass = float(mu[idx].sum())
+        yield b, mass, np.tensordot(mu[idx] / mass, cost[idx], axes=(0, 0)) if mass > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,8 @@ def _lead_offsets(shape: tuple):
     midpoint is (a, a + 2h) for exactly one h = (h', h_d) with h' among
     them (and h_d >= 1 when h' is zero), with a first in flat order."""
     ranges = [range(-((n - 1) // 2), (n - 1) // 2 + 1) for n in shape]
-    for h in itertools.product(*ranges):
-        if next((x for x in h if x), 1) > 0:
-            yield h
+    zero = (0,) * len(shape)
+    return (h for h in itertools.product(*ranges) if h >= zero)
 
 
 def _offset_slices(n: int, h: int) -> tuple:
@@ -139,11 +144,11 @@ def _offset_slices(n: int, h: int) -> tuple:
     return tuple(slice(lo + j * h, lo + j * h + m) for j in range(3))
 
 
-def _boxes(shape: tuple, inner: int, budget: int):
+def _boxes(shape: tuple, budget: int):
     """Sub-boxes of the index box ``shape`` in C order, as tuples of
-    slices over its leading axes: each holds at most ``budget`` cells at
-    ``inner`` cells per index, or one index when that alone is more."""
-    p = len(shape)
+    slices over its leading axes: each holds at most ``budget`` cells,
+    or one index of the axis it cuts when that alone is more."""
+    p, inner = len(shape), 1
     while p and inner * shape[p - 1] <= budget:
         p -= 1
         inner *= shape[p]
@@ -157,21 +162,14 @@ def _boxes(shape: tuple, inner: int, budget: int):
 
 
 def _windows(x: np.ndarray, H: int, fill: float) -> tuple:
-    """Views of width 2H + 1 over the last axis of x: [..., m, H + j]
+    """Views of width 2H + 1 over the first axis of x: [m, ..., H + j]
     holds x at m + j in the first and at m - j in the second, ``fill``
     where that index leaves the axis."""
-    if not H:
-        return x[..., None], x[..., None]
-    n = x.shape[-1]
-    pad = np.full(x.shape[:-1] + (n + 2 * H,), fill)
-    pad[..., H : H + n] = x
-    # windows of the reversed axis, so that both views run forward in j
-    back = np.ascontiguousarray(pad[..., ::-1])
-    w = 2 * H + 1
-    return (
-        sliding_window_view(pad, w, axis=-1),
-        sliding_window_view(back, w, axis=-1)[..., ::-1, :],
-    )
+    pad = np.full((len(x) + 2 * H,) + x.shape[1:], fill)
+    pad[H : H + len(x)] = x
+    # sliding_window_view(pad, 2 * H + 1, axis=0), built without its checks
+    fwd = np.ndarray(x.shape + (2 * H + 1,), buffer=pad, strides=pad.strides + pad.strides[:1])
+    return fwd, fwd[..., ::-1]
 
 
 def _pair_count(shape: tuple) -> int:
@@ -194,11 +192,14 @@ def grid_convexity_test(
     distance (informational only; certification never requires it).
     A table with a NaN or infinite value is refused (ValidationError).
     A pair is (a, a + 2h) with midpoint a + h.  Python loops over the
-    half-offsets h' of the leading axes only; each batch takes every
-    last-axis offset h_d at once from windows of the last axis, padded
-    with +inf so that pairs leaving the lattice never fail, in chunks of
-    cells sized from the solvers' scan budget.  The reported violation
-    is the first pair (a, a + 2h) in flat order.
+    half-offsets h' of the leading axes and bands of last-axis midpoints
+    m.  A batch reads the table last axis first, through windows padded
+    with +inf so that pairs leaving the lattice never fail, as cells
+    (h_d, m, a') cut into chunks sized from the solvers' scan budget.  A
+    chunk's worst gap comes from its least endpoint sum; only a chunk
+    that takes the exact strictness test or may hold an earlier
+    violation builds its gaps.  The reported violation is the first pair
+    (a, a + 2h) in flat order.
     """
     values = np.asarray(values, dtype=float)
     grids = _uniform_axes(axes)
@@ -210,79 +211,115 @@ def grid_convexity_test(
         )
     if not np.isfinite(values).all():
         raise ValidationError("table has non-finite values")
-    # on 2 cores a scan at the cap takes 5-8 s on a strictly convex table (1.3e8-2.0e8
-    # pairs/s) and 15-30 s on a convex, not strictly convex one (3.5e7-6.7e7 pairs/s)
+    # on 2 cores a scan at the cap takes 2-3.3 s on a strictly convex table (3.0e8-5.1e8
+    # pairs/s) and 2.1-4.2 s on a convex, not strictly convex one (2.4e8-4.7e8 pairs/s)
     pairs = CapExceeded.check(_pair_count(shape), 50 * TABLE_CAP)
 
     lead, n = shape[:-1], shape[-1]
     k, H = len(lead), (n - 1) // 2
-    fwd, rev = _windows(values, H, np.inf)
-    span = float(grids[-1].max() - grids[-1].min())
-    d_max = span * span  # no last-axis (u_a - u_b)^2 is larger: rounding is monotone
-    u_fwd = u_rev = None  # last-axis grid windows, built once strictness needs them
-    # an eighth of the solvers' scan budget keeps a chunk's gaps (312 KB) in
-    # a core's cache: 101 x 101 scans ran about 1.6x faster than at the full
-    # budget on a 2-core machine
+    # the last axis first: a chunk's cells are laid out (h_d, m, a'), so the
+    # least sum over the offsets is an elementwise minimum of contiguous rows
+    last_first = values.transpose((k,) + tuple(range(k)))
+    perm = (k + 1,) + tuple(range(k + 1))  # window views (m, a', h_d) to (h_d, m, a')
+    fwd, rev = _windows(last_first, H, np.inf)
+    d_max = float(np.ptp(grids[-1])) ** 2  # bounds every last-axis (u_a - u_b)^2
+    u_fwd, u_rev = _windows(grids[-1], H, np.nan)  # NaN: a pair leaving the lattice
+    # an eighth of the solvers' scan budget keeps a chunk (312 KB) in a core's cache:
+    # 101 x 101 scans ran about 1.25x faster than at the full budget on 2 cores
     budget = solvers._SCAN_CELLS // 8
 
-    min_margin = np.inf
-    strict = True
-    first: Optional[GridViolation] = None
+    min_margin, strict, first = np.inf, True, None
+    chunks = cells = exact = searched = 0
+    # n // 16 bands of midpoints (at most 8), each to its own largest half-offset,
+    # once a batch without them would fill more than one chunk: bands add chunks
+    nb = min(8, max(1, n // 16)) if values.size * n > budget else 1
+    cuts = [n * i // nb for i in range(nb + 1)]
 
     for hl in _lead_offsets(lead):
-        # column j of a batch is the last-axis offset h_d = j + j0 - H;
-        # only h_d >= 1 when the leading offset is zero
-        j0 = H + 1 if not any(hl) else 0
-        if j0 > 2 * H:
-            continue
         sl = [_offset_slices(m, x) for m, x in zip(lead, hl)]
-        sa, sm, sb = (tuple(s[j] for s in sl) for j in range(3))
-        fa_all, fb_all = rev[sa][..., j0:], fwd[sb][..., j0:]
-        fm_all = values[sm][..., None]
-        # squared distances from the grid values, summed axis by axis
-        lead_sq = np.asarray(
-            sum(np.ix_(*[(g[s] - g[t]) ** 2 for g, s, t in zip(grids, sa, sb)])), dtype=float
-        )
+        sa, sm, sb = tuple(zip(*sl)) or ((), (), ())
+        # squared distances from the grid values, axis by axis
+        lead_sq = [(g[s] - g[t]) ** 2 for g, s, t in zip(grids, sa, sb)]
         # no cell's strictness threshold exceeds this: rounding is monotone
-        bound = STRICT_RATE * (float(lead_sq.max()) + d_max) - tol
+        lead_max = sum(float(d.max()) for d in lead_sq)
+        bound = STRICT_RATE * (lead_max + d_max) - tol
+        lead_total = None
 
-        for box in _boxes(fa_all.shape[:-1], fa_all.shape[-1], budget):
-            # fm - 0.5 * (fa + fb), the same roundings in one buffer
-            gap = np.add(fa_all[box], fb_all[box])
-            gap *= 0.5
-            np.subtract(fm_all[box], gap, out=gap)
-            worst = float(gap.max())
-            min_margin = min(min_margin, -worst)
-            lo = [s.start for s in box] + [0] * (k + 1 - len(box))  # first (a', m) of the chunk
-            if strict and not -worst >= bound:
-                if u_fwd is None:
-                    u_fwd, u_rev = _windows(grids[-1], H, np.nan)
-                ms = box[k] if len(box) > k else slice(None)
-                d_last = (u_rev[ms, j0:] - u_fwd[ms, j0:]) ** 2
-                sq = lead_sq[box[:k] + (..., None, None)] + d_last
-                strict = not np.any(-gap < STRICT_RATE * sq - tol)
-
-            corner = tuple(s.start + x for s, x in zip(sa, lo))
-            if worst <= tol or (first is not None and corner > first.index_a[:k]):
+        for m0, m1 in zip(cuts, cuts[1:]):
+            c = min(max(H, m0), m1 - 1)  # the band's midpoint farthest from both ends
+            hb = min(c, n - 1 - c)
+            # only h_d >= 1 when the leading offset is zero
+            h0 = -hb if any(hl) else 1
+            if h0 > hb:
                 continue
-            rows = (gap > tol).reshape(-1, *gap.shape[k:])
-            hits = np.flatnonzero(rows.any(axis=(1, 2)))
-            # the first failing (a, b) of the batch: first leading row, then
-            # smallest a_d, then smallest h_d
-            mi, ji = np.nonzero(rows[hits[0]])
-            ad = mi + lo[k] - (ji + j0 - H)
-            t = int(np.argmin(ad * (2 * H + 1) + ji))
-            i = np.unravel_index(int(hits[0]), gap.shape[:k])
-            a = tuple(int(x) + c for x, c in zip(i, corner)) + (int(ad[t]),)
-            h = hl + (int(ji[t]) + j0 - H,)
-            b = tuple(x + 2 * y for x, y in zip(a, h))
-            if first is None or (a, b) < (first.index_a, first.index_b):
-                mid = tuple(x + y for x, y in zip(a, h))
-                first = GridViolation(
-                    a, b, mid, float(values[a]), float(values[b]), float(values[mid]),
-                    float(gap[i + (mi[t], ji[t])]),
-                )
+            ms = slice(m0, m1)
+            # the batch's cells as (h_d - h0, m - m0, a' - sa), a' innermost
+            fa_all = rev[(ms,) + sa + (slice(H + h0, H + hb + 1),)].transpose(perm)
+            fb_all = fwd[(ms,) + sb + (slice(H + h0, H + hb + 1),)].transpose(perm)
+            fm_all = last_first[(ms,) + sm]
 
+            for box in _boxes(fa_all.shape, budget):
+                box += (slice(0, None),) * (k + 2 - len(box))
+                gap = np.add(fa_all[box], fb_all[box], order="C")
+                fm = fm_all[box[1:]]
+                # fm - 0.5 * (fa + fb) falls as the sum rises, and so do its
+                # roundings: the least sum gives the chunk's worst gap exactly
+                worst = float((fm - 0.5 * gap.min(axis=0)).max())
+                chunks, cells = chunks + 1, cells + gap.size
+                min_margin = min(min_margin, -worst)
+                check = strict and not -worst >= bound
+                if not (check or worst > tol):
+                    continue
+                # the chunk's least h_d and m, its least a', and the least (a, b) it can hold
+                hc, mc = h0 + box[0].start, m0 + box[1].start
+                corner = tuple(x.start + y.start for x, y in zip(sa, box[2:]))
+                ad = max(0, mc - hc - len(gap) + 1)
+                b = tuple(c + 2 * x for c, x in zip(corner, hl)) + (ad + 2 * hc,)
+                least = (corner + (ad,), b)
+                search = worst > tol and (first is None or least < (first.index_a, first.index_b))
+                if not (check or search):
+                    continue
+                # fm - 0.5 * (fa + fb), the same roundings in one buffer
+                gap *= 0.5
+                np.subtract(fm, gap, out=gap)
+                if check:
+                    exact += 1
+                    at = (slice(mc, mc + gap.shape[1]), slice(H + hc, H + hc + len(gap)))
+                    d_last = (u_rev[at] - u_fwd[at]).T ** 2
+                    # the offsets h_d whose least margin is below their largest threshold
+                    top = STRICT_RATE * (lead_max + np.fmax.reduce(d_last, axis=1)) - tol
+                    near = np.flatnonzero(~(-gap.reshape(len(gap), -1).max(axis=1) >= top))
+                    if near.size:
+                        if lead_total is None:  # summed axis by axis, then the last axis
+                            lead_total = np.asarray(sum(np.ix_(*lead_sq)), dtype=float)
+                        sq = lead_total[box[2:]] + d_last[near].reshape((near.size, -1) + (1,) * k)
+                        strict = not np.any(-gap[near] < STRICT_RATE * sq - tol)
+                if not search:
+                    continue
+                searched += 1
+                # the first failing (a, b) of the chunk: least a', then a_d, then
+                # h_d (nonzero runs in (h_d, m) order, so argmin takes the least)
+                hit = (gap > tol).reshape(gap.shape[:2] + (-1,))
+                r = int(np.argmax(hit.any(axis=(0, 1))))
+                ji, mi = np.nonzero(hit[..., r])
+                ad = mi + mc - (ji + hc)
+                t = int(np.argmin(ad))
+                i = np.unravel_index(r, gap.shape[2:])
+                a = tuple(int(x) + c for x, c in zip(i, corner)) + (int(ad[t]),)
+                h = hl + (int(ji[t]) + hc,)
+                b = tuple(x + 2 * y for x, y in zip(a, h))
+                if first is None or (a, b) < (first.index_a, first.index_b):
+                    mid = tuple(x + y for x, y in zip(a, h))
+                    first = GridViolation(
+                        a, b, mid, float(values[a]), float(values[b]), float(values[mid]),
+                        float(gap[(ji[t], mi[t]) + i]),
+                    )
+
+    _log.debug(
+        "lattice scan: %d pairs, %d chunks, %d cells computed, "
+        "%d exact-strictness chunks, %d searched chunks",
+        pairs, chunks, cells, exact, searched,
+    )
     if not np.isfinite(min_margin):
         min_margin = 0.0
     return GridConvexityReport(first is None, strict, float(min_margin), pairs, first)
@@ -472,23 +509,22 @@ def certify_team_convexity(
     partitions = [sigma_field_of(problem, k) for k in range(1, problem.n_dms + 1)]
     notes = []
 
-    cond = conditional_cost(problem, join(*partitions))
-    records = []
-    join_violation = None
-    for b, mass, table in zip(cond.block_indices, cond.masses, cond.tables):
+    # tables are built block by block, so the first failing join block ends the phase
+    records, skipped = [], 0
+    for b, mass, table in _block_costs(problem, join(*partitions)):
+        if table is None:
+            skipped += 1
+            continue
         rep = grid_convexity_test(table, u_vals)
         if not rep.passed:
-            join_violation = (b, rep.violation)
             notes.append(
                 f"join block {b} fails midpoint convexity by {rep.violation.gap:.3e}"
             )
             break
         records.append(BlockRecord(b, mass, rep.min_margin, rep.strict, rep.n_pairs))
-    if join_violation is None:
-        if cond.skipped_blocks:
-            notes.append(
-                f"{len(cond.skipped_blocks)} zero-mass join blocks skipped"
-            )
+    else:
+        if skipped:
+            notes.append(f"{skipped} zero-mass join blocks skipped")
         return ConvexityVerdict(
             VerdictKind.CONVEX, tuple(records), None, None, tuple(notes)
         )
@@ -497,8 +533,9 @@ def certify_team_convexity(
         return tuple(u.points[i] for u, i in zip(problem.u_spaces, index))
 
     common = meet(*partitions)
-    cond_m = conditional_cost(problem, common)
-    for b, table in zip(cond_m.block_indices, cond_m.tables):
+    for b, _, table in _block_costs(problem, common):
+        if table is None:
+            continue
         rep = grid_convexity_test(table, u_vals)
         if rep.passed:
             continue

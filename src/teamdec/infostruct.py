@@ -67,6 +67,13 @@ class Partition:
             groups.setdefault(label_of(i), []).append(i)
         return Partition(ground, groups.values())
 
+    @staticmethod
+    def from_codes(ground: FiniteSpace, codes: np.ndarray) -> "Partition":
+        """Partition by an integer label per point, grouped by a stable sort."""
+        order = np.argsort(codes, kind="stable")
+        cuts = np.flatnonzero(np.diff(codes[order])) + 1
+        return Partition(ground, [b.tolist() for b in np.split(order, cuts)])
+
     def block_index(self) -> np.ndarray:
         """Array mapping each ground index to its block's position."""
         out = np.empty(len(self.ground), dtype=int)
@@ -93,7 +100,8 @@ def meet(p: Partition, *rest: Partition) -> Partition:
     """Finest common coarsening of any number of partitions: connected
     components of block overlap."""
     _check_ground(p, *rest)
-    parent = list(range(len(p.ground)))
+    own, m = p.block_index(), len(p.blocks)
+    parent = list(range(m))  # union-find over the blocks of p
 
     def find(i):
         while parent[i] != i:
@@ -101,19 +109,23 @@ def meet(p: Partition, *rest: Partition) -> Partition:
             i = parent[i]
         return i
 
-    for part in (p, *rest):
-        for b in part.blocks:
-            for i in b[1:]:
-                parent[find(i)] = find(b[0])  # union the two roots
-    return Partition.from_labels(p.ground, find)
+    for q in rest:
+        # the blocks of p that one block of q meets, adjacent in (q block, p block) order
+        qb, pb = np.divmod(np.sort(q.block_index() * m + own), m)
+        for i in np.flatnonzero((qb[1:] == qb[:-1]) & (pb[1:] != pb[:-1])).tolist():
+            parent[find(int(pb[i + 1]))] = find(int(pb[i]))  # union the two roots
+    return Partition.from_codes(p.ground, np.array([find(i) for i in range(m)])[own])
 
 
 def join(p: Partition, *rest: Partition) -> Partition:
     """Coarsest common refinement of any number of partitions: nonempty
     intersections of one block from each."""
     _check_ground(p, *rest)
-    index = np.stack([q.block_index() for q in (p, *rest)], axis=1)
-    return Partition.from_labels(p.ground, lambda i: tuple(index[i]))
+    code = np.zeros(len(p.ground), dtype=int)
+    for q in (p, *rest):
+        # the pair (code, block of q), renumbered densely so that codes stay below the ground size
+        code = np.unique(code * len(q.blocks) + q.block_index(), return_inverse=True)[1]
+    return Partition.from_codes(p.ground, code)
 
 
 def affects(problem: TeamProblem, k: int, i: int) -> bool:
@@ -171,8 +183,7 @@ def sigma_field_of(problem: TeamProblem, dm: int) -> Partition:
     otherwise) with point-mass rows (NonDeterministicMeasurement
     otherwise).
     """
-    y = _observation(problem, dm)
-    return Partition.from_labels(problem.omega0, lambda i: int(y[i]))
+    return Partition.from_codes(problem.omega0, _observation(problem, dm))
 
 
 def information_nested(problem: TeamProblem, k: int, i: int) -> bool:

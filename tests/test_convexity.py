@@ -4,8 +4,11 @@ certificate on hand-built convex and non-convex teams."""
 
 import collections
 import itertools
+import logging
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamdec.constants import MIDPOINT_TOL, STRICT_RATE
+from teamdec.gallery import example1
 from teamdec.errors import (
     NonDeterministicMeasurement,
     NonNumericActions,
@@ -263,6 +267,102 @@ def test_grid_scan_memory_stays_within_the_cell_budget():
             tracemalloc.stop()
         assert (rep.n_pairs, rep.strict) == (pairs, is_strict)
         assert peak < 2 * 8 * solvers._SCAN_CELLS
+
+
+@settings(max_examples=40)
+@given(
+    # leading axes of 1-3 points; the windowed axis narrow or wide enough for bands
+    shape=st.tuples(
+        st.lists(st.integers(1, 3), max_size=2),
+        st.one_of(st.integers(1, 2), st.integers(33, 64)),
+    ).map(lambda t: (*t[0], t[1])),
+    kind=st.sampled_from(["random", "constant", "convex", "concave", "spike"]),
+    curvature=st.sampled_from([1e-9, 1.0]),
+    half_steps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(33,), kind="spike", curvature=1.0, half_steps=False, seed=11)
+@example(shape=(64,), kind="concave", curvature=1.0, half_steps=True, seed=12)
+@example(shape=(1, 47), kind="constant", curvature=1.0, half_steps=True, seed=13)
+@example(shape=(2, 64), kind="spike", curvature=1e-9, half_steps=False, seed=14)
+@example(shape=(3, 2, 40), kind="random", curvature=1.0, half_steps=False, seed=15)
+@example(shape=(2, 1, 33), kind="convex", curvature=1e-9, half_steps=True, seed=16)
+@example(shape=(1, 2, 1), kind="concave", curvature=1.0, half_steps=False, seed=17)
+@example(shape=(2, 2, 2), kind="spike", curvature=1.0, half_steps=True, seed=18)
+@example(shape=(64, 1), kind="spike", curvature=1.0, half_steps=False, seed=19)
+@example(shape=(33, 2), kind="concave", curvature=1e-9, half_steps=True, seed=20)
+def test_grid_scan_matches_literal_pair_loop_across_bands(shape, kind, curvature, half_steps, seed):
+    """Wide last axes at the default budget and at two small ones, under
+    which a batch of any of these tables fills several chunks and takes
+    bands of midpoints; axes of one and two points on every axis."""
+    axes, values = lattice_table(shape, kind, curvature, half_steps, seed)
+    want = literal_midpoint_scan(values, axes, MIDPOINT_TOL)
+    for budget in (solvers._SCAN_CELLS, 648, 8):
+        with mock.patch.object(solvers, "_SCAN_CELLS", budget):
+            rep = grid_convexity_test(values, axes)
+        assert (rep.passed, rep.strict, rep.min_margin, rep.n_pairs, rep.violation) == want
+
+
+def test_grid_scan_takes_an_earlier_pair_from_a_later_band(monkeypatch):
+    # 200 points take 8 bands of 25 midpoints.  The spike at 5 (band 0)
+    # fails only the pairs at half-offsets 1 and 2, the first of them (3, 7);
+    # the one at 30 (band 1) fails out to half-offset 31, so (0, 60) comes first
+    u = np.arange(200.0)
+    values = u**2
+    values[5] += 5.0
+    values[30] += 1000.0
+    want = GridConvexityReport(*literal_midpoint_scan(values, [u], MIDPOINT_TOL))
+    assert (want.violation.index_a, want.violation.index_b) == ((0,), (60,))
+    for budget in (1, 8 * 81, 8000, solvers._SCAN_CELLS):
+        monkeypatch.setattr(solvers, "_SCAN_CELLS", budget)
+        assert grid_convexity_test(values, [u]) == want
+
+
+def test_strictness_thresholds_count_both_axes():
+    # one pair on each axis, at squared distance 4: margins of 2e-9 lie
+    # under STRICT_RATE * 4 - MIDPOINT_TOL = 3e-9 but over half of it
+    for values in ([[0.0], [-2e-9], [0.0]], [[0.0, -2e-9, 0.0]]):
+        values = np.array(values)
+        axes = [np.arange(float(n)) for n in values.shape]
+        rep = grid_convexity_test(values, axes)
+        assert (rep.passed, rep.strict, rep.n_pairs) == (True, False, 1)
+        assert rep == GridConvexityReport(*literal_midpoint_scan(values, axes, MIDPOINT_TOL))
+
+
+def scan_log(caplog, values, axes):
+    """The scan's DEBUG line, as a dict of its counts."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="teamdec.convexity"):
+        grid_convexity_test(values, axes)
+    (msg,) = [r.getMessage() for r in caplog.records]
+    m = re.fullmatch(
+        r"lattice scan: (\d+) pairs, (\d+) chunks, (\d+) cells computed, "
+        r"(\d+) exact-strictness chunks, (\d+) searched chunks",
+        msg,
+    )
+    assert m, msg
+    return dict(zip(("pairs", "chunks", "cells", "exact", "searched"), map(int, m.groups())))
+
+
+def test_grid_scan_logs_its_work(caplog):
+    # x^2 on 5 points: h_d = 1, 2 over 5 midpoints, 10 cells in one chunk,
+    # margins far above the strictness threshold, no violation
+    axis = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    assert scan_log(caplog, axis**2, [axis]) == dict(pairs=4, chunks=1, cells=10, exact=0, searched=0)
+    # -x^2: the first chunk takes the exact test (strictness fails there)
+    # and is searched; the pair it finds is the first one
+    assert scan_log(caplog, -(axis**2), [axis]) == dict(pairs=4, chunks=1, cells=10, exact=1, searched=1)
+    # a 101 x 101 table: bands cut the cells computed to under 1.35 a pair
+    # (2.0 a pair with every last-axis window at full width)
+    u = np.linspace(1.0, 2.0, 101)
+    work = scan_log(caplog, u[:, None] ** 2 + u[None, :] ** 2, [u, u])
+    assert work["pairs"] == 13_005_000 and work["cells"] <= 1.35 * work["pairs"]
+    # example1's concave cell fails in its first chunk; no later chunk can
+    # hold an earlier pair, so at most one more is searched (of 51 batches)
+    ex = example1()
+    axes = [u.numeric_values() for u in ex.problem.u_spaces]
+    work = scan_log(caplog, ex.problem.cost.table[2], axes)
+    assert work["searched"] <= 2 and work["pairs"] == 13_005_000
 
 
 @settings(max_examples=100)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamdec.constants import EQ_TOL
@@ -33,6 +33,7 @@ from teamdec.strategic import check_membership_LM, induce_LA
 
 from conftest import (
     classical_team,
+    deterministic_team,
     random_profile,
     random_team,
     relay_team,
@@ -370,6 +371,49 @@ def test_static_only_calls_name_the_first_action_dependency():
         sigma_field_of(team, 3)
     with pytest.raises(StaticRequired, match=r"^DM 3's measurement depends on u2$"):
         check_membership_LM(induce_LA(team, random_profile(team, 0)))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_omega=st.integers(1, 40),
+    ny=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+)
+@example(seed=0, n_omega=1, ny=[1])
+@example(seed=1, n_omega=40, ny=[6, 6, 6])
+@example(seed=2, n_omega=30, ny=[1, 5])
+def test_partitions_match_per_point_labels(seed, n_omega, ny):
+    """sigma_field_of, join and meet against Partition.from_labels with a
+    per-point callable: the measurement read off each kernel row, the
+    tuple of blocks holding a point, and the connected component of a
+    point under "shares a block of some partition", grown one point at a time."""
+    team = deterministic_team(seed, n_omega, [(n, 2) for n in ny], zero_prior=False)
+    omega = team.omega0
+    parts = []
+    for k, n in enumerate(ny, start=1):
+        rows = np.asarray(team.kernels[k - 1].table).reshape(n_omega, -1, n)
+        y_of = [next(y for y in range(n) if rows[w, 0, y] == 1.0) for w in range(n_omega)]
+        parts.append(sigma_field_of(team, k))
+        assert parts[-1].blocks == Partition.from_labels(omega, lambda w: y_of[w]).blocks
+
+    def block_of(part, w):
+        return next(j for j, b in enumerate(part.blocks) if w in b)
+
+    want = Partition.from_labels(omega, lambda w: tuple(block_of(p, w) for p in parts))
+    assert join(*parts).blocks == want.blocks
+
+    component = list(range(n_omega))
+    for w in range(n_omega):
+        reach, todo = {w}, [w]
+        while todo:
+            v = todo.pop()
+            for p in parts:
+                for x in p.blocks[block_of(p, v)]:
+                    if x not in reach:
+                        reach.add(x)
+                        todo.append(x)
+        component[w] = min(reach)
+    assert meet(*parts).blocks == Partition.from_labels(omega, lambda w: component[w]).blocks
 
 
 def test_sigma_field_partitions_by_measurement_preimage():

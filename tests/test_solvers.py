@@ -432,6 +432,35 @@ def test_best_response_improves_and_respects_dead_rows():
                 assert np.array_equal(a, b)
 
 
+def test_best_response_ties_pick_the_lowest_action():
+    # four equally likely points; DM 1 sees w // 2, DM 2 sees w % 2.  The
+    # cost w + (u1 - 1.5)^2 + (u2 - 1.5)^2 on actions 0..3 ties actions 1
+    # and 2 of either DM exactly: every entry and sum is dyadic, so exact
+    omega = FiniteSpace("w", [0, 1, 2, 3])
+    grid = [0.0, 1.0, 2.0, 3.0]
+    w = np.arange(4.0)
+    rows1, rows2 = np.eye(2)[w.astype(int) // 2], np.eye(2)[w.astype(int) % 2]
+    u = np.array(grid)
+    team = TeamProblem(
+        omega,
+        Pmf(omega, np.full(4, 0.25)),
+        [FiniteSpace("y1", [0, 1]), FiniteSpace("y2", [0, 1])],
+        [FiniteSpace("u1", grid), FiniteSpace("u2", grid)],
+        [MeasurementKernel(1, rows1), MeasurementKernel(2, np.repeat(rows2[:, None, :], 4, axis=1))],
+        CostTable(w[:, None, None] + (u[None, :, None] - 1.5) ** 2 + (u[None, None, :] - 1.5) ** 2),
+    )
+    incumbent = DeterministicProfile([np.array([3, 0]), np.array([0, 3])])
+    for i in (1, 2):
+        table = response_table(team, incumbent, i)
+        assert np.array_equal(table[:, 1], table[:, 2])
+        assert np.array_equal(table.min(axis=1), table[:, 1])
+        for profile in (incumbent, RandomizedProfile([np.eye(4)[a] for a in incumbent.actions])):
+            new, value = best_response(team, profile, i)
+            got = new.actions[i - 1] if isinstance(new, DeterministicProfile) else new.kernels[i - 1].argmax(axis=1)
+            assert got.tolist() == [1, 1]
+            assert value == float(table[:, 1].sum())
+
+
 def test_pbp_descends_to_a_person_by_person_optimum():
     for seed in range(6):
         team = random_team(seed, dynamic=bool(seed % 2))
