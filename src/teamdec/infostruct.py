@@ -69,10 +69,17 @@ class Partition:
 
     @staticmethod
     def from_codes(ground: FiniteSpace, codes: np.ndarray) -> "Partition":
-        """Partition by an integer label per point, grouped by a stable sort."""
+        """Partition by an integer label per point, grouped by a stable
+        sort: the groups come out sorted and covering, so are not checked."""
+        if len(codes) != len(ground):
+            raise ValidationError(f"blocks do not partition ground set {ground.name!r}")
         order = np.argsort(codes, kind="stable")
         cuts = np.flatnonzero(np.diff(codes[order])) + 1
-        return Partition(ground, [b.tolist() for b in np.split(order, cuts)])
+        blocks = sorted(tuple(b.tolist()) for b in np.split(order, cuts))
+        out = object.__new__(Partition)
+        object.__setattr__(out, "ground", ground)
+        object.__setattr__(out, "blocks", tuple(blocks))
+        return out
 
     def block_index(self) -> np.ndarray:
         """Array mapping each ground index to its block's position."""

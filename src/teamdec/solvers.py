@@ -9,6 +9,7 @@ first-order (directional-derivative) test at a candidate optimum.
 from __future__ import annotations
 
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +40,8 @@ from .model import (
 # scan may hold: 1/64 of the largest table a call may build, 2.5 MB of floats
 _SCAN_CELLS = TABLE_CAP // 64
 _MAX_SWEEPS = 200  # PBP sweep budget; not a tolerance, so not in tolerances()
+# history cells response_table summed and held, tallied while pbp_iterate runs
+_CELLS: ContextVar = ContextVar("pbp_history_cells", default=None)
 _log = logging.getLogger(__name__)
 
 
@@ -182,6 +185,23 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     return SolveResult(value, profile, index, total)
 
 
+def _live_onto(law: np.ndarray, value: np.ndarray, cut: tuple) -> np.ndarray:
+    """``_onto(law[..., None] * value, kernel)``, ``cut`` being the axes the
+    kernel cuts, from the law's nonzero cells only.  Like numpy's sum over
+    axes other than the innermost, it adds from +0 in the C order of the
+    cut cells; a skipped cell adds a signed zero (finite values), so no bit moves."""
+    lw, vl = (np.moveaxis(a, cut, range(len(cut))) for a in (law, value))
+    acc = np.zeros(lw.shape[len(cut) :] + value.shape[-1:])
+    for c in zip(*np.nonzero(lw.any(axis=tuple(range(len(cut), law.ndim))))):
+        w, v = lw[c], vl[c]
+        if w.all():
+            acc += w[..., None] * v
+        else:
+            nz = np.nonzero(w)
+            acc[nz] += w[nz][:, None] * v[nz]
+    return acc.reshape([1 if a in cut else n for a, n in enumerate(law.shape)] + [-1])
+
+
 def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
     """Partial expected cost as a function of DM i's measurement and
     action, with every other DM following ``profile``.
@@ -198,7 +218,15 @@ def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
     law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
     value = _value_to_go(kernels[i:], mats[i:], problem.cost.table)
     kernel = kernels[i - 1]
-    weighted = _onto(law[..., None] * value, kernel)
+    cut = tuple(a for a in range(law.ndim) if kernel.shape[a] < law.shape[a])
+    # one action: numpy drops the action axis and sums the cut axes pairwise,
+    # and the product is no larger than the law; no cut: nothing to sum
+    if not cut or value.shape[-1] == 1:
+        weighted, cells = _onto(law[..., None] * value, kernel), law.size
+    else:
+        weighted, cells = _live_onto(law, value, cut), np.count_nonzero(law)
+    if (tally := _CELLS.get()) is not None:
+        tally += (cells, law.size)
     return kernel.reshape(-1, kernel.shape[-1]).T @ weighted.reshape(-1, value.shape[-1])
 
 
@@ -275,21 +303,28 @@ def pbp_iterate(
     trace = [value]
     converged = False
     sweeps = 0
-    for _ in range(_MAX_SWEEPS):
-        sweeps += 1
-        changed = False
-        for i in range(1, problem.n_dms + 1):
-            nxt, val = best_response(problem, current, i)
-            if any(
-                not np.array_equal(a, b)
-                for a, b in zip(nxt.actions, current.actions)
-            ):
-                changed = True
-            current, value = nxt, val
-            trace.append(value)
-        if not changed:
-            converged = True
-            break
+    cells = np.zeros(2, dtype=int)
+    token = _CELLS.set(cells)
+    try:
+        for _ in range(_MAX_SWEEPS):
+            sweeps += 1
+            changed = False
+            for i in range(1, problem.n_dms + 1):
+                nxt, val = best_response(problem, current, i)
+                if any(
+                    not np.array_equal(a, b)
+                    for a, b in zip(nxt.actions, current.actions)
+                ):
+                    changed = True
+                current, value = nxt, val
+                trace.append(value)
+            if not changed:
+                converged = True
+                break
+    finally:
+        _CELLS.reset(token)
+    _log.debug("pbp: %d sweeps, %d single-DM updates, %d of %d history cells accumulated",
+               sweeps, len(trace) - 1, *cells)
     return PbpResult(current, value, tuple(trace), sweeps, converged)
 
 

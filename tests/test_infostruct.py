@@ -80,6 +80,13 @@ def test_partition_canonical_form_and_refines():
         Partition(g, [[0, 1]])
 
 
+def test_partition_from_codes_is_canonical_and_needs_a_code_per_point():
+    g = FiniteSpace("g", list(range(4)))
+    assert Partition.from_codes(g, np.array([5, 2, 5, 2])).blocks == ((0, 2), (1, 3))
+    with pytest.raises(ValidationError):
+        Partition.from_codes(g, np.array([0, 1, 0]))
+
+
 def test_meet_join_match_lattice_oracle_on_all_pairs():
     """meet = finest common coarsening, join = coarsest common refinement,
     verified against an exhaustive scan of the partition lattice of a

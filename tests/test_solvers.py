@@ -22,7 +22,9 @@ from teamdec.model import (
     Pmf,
     RandomizedProfile,
     TeamProblem,
+    _compact,
     expected_cost,
+    expected_cost_batch,
 )
 from teamdec import solvers
 from teamdec.gallery import signaling
@@ -420,6 +422,58 @@ def test_response_table_moves_from_the_full_kernel_fold_only_in_last_digits():
         assert np.array_equal(response_table(team, profile, i), want)
 
 
+def dense_response_table(problem, profile, i):
+    """response_table as one dense product of the law and the
+    value-to-go, summed by numpy over the history axes DM i's stored
+    kernel cuts, before the contraction with that kernel."""
+    mats = profile.matrices(problem)
+    kernels = [_compact(k.table) for k in problem.kernels]
+
+    def factor(kernel, policy):
+        g = kernel.reshape(-1, kernel.shape[-1]) @ policy
+        return g.reshape(kernel.shape[:-1] + policy.shape[-1:])
+
+    law = problem.prior.mass
+    for kernel, policy in zip(kernels[: i - 1], mats[: i - 1]):
+        law = factor(kernel, policy) * law[..., None]
+    value = problem.cost.table
+    for kernel, policy in zip(reversed(kernels[i:]), reversed(mats[i:])):
+        value = (factor(kernel, policy) * value).sum(axis=-1)
+    kernel = kernels[i - 1]
+    cut = tuple(a for a in range(law.ndim) if kernel.shape[a] < law.shape[a])
+    weighted = (law[..., None] * value).sum(axis=cut, keepdims=True)
+    return kernel.reshape(-1, kernel.shape[-1]).T @ weighted.reshape(-1, value.shape[-1])
+
+
+@settings(max_examples=150)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=2, max_size=4),
+    n_omega=st.integers(1, 4),
+    dynamic=st.booleans(),
+    zeros=st.sampled_from([None, False, True]),  # None: random_team
+    shift=st.sampled_from([0.0, 0.7]),  # subtracted from the cost
+    seed=st.integers(0, 2**32 - 1),
+)
+# DM 3 has one action and cuts 16 cells of (u1, u2): numpy sums them pairwise
+@example(dms=[(2, 4), (3, 4), (3, 1)], n_omega=2, dynamic=False, zeros=True, shift=0.0, seed=1)
+def test_response_table_keeps_the_dense_sums_bits(dms, n_omega, dynamic, zeros, shift, seed):
+    """Skipping the histories the law gives no mass changes no bit of any
+    table, against deterministic (sparse laws) and randomized profiles,
+    with zero rows, one-action DMs and negative costs."""
+    y_sizes, u_sizes = zip(*dms)
+    if zeros is None:
+        team = random_team(seed, n_omega, y_sizes, u_sizes, dynamic)
+    else:
+        team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    if shift:
+        team = TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                           team.kernels, CostTable(team.cost.table - shift))
+    for profile in (random_profile(team, seed), random_randomized_profile(team, seed)):
+        for i in range(1, team.n_dms + 1):
+            want = dense_response_table(team, profile, i)
+            assert response_table(team, profile, i).tobytes() == want.tobytes()
+
+
 def test_best_response_improves_and_respects_dead_rows():
     team = random_team(7, dynamic=False)
     prof = random_profile(team, 7)
@@ -509,6 +563,40 @@ def test_pbp_ends_where_no_literal_single_dm_deviation_improves(
             assert deviation >= res.value - slack
 
 
+def test_pbp_logs_its_sweeps_and_the_history_cells_it_summed(caplog):
+    # four equally likely points; DM 1 sees w // 2, DM 2 sees w % 2 with a
+    # kernel that ignores u1.  DM 1's table takes in the prior's 4 cells;
+    # DM 2's law over (w, u1) has 4 x 3 cells, of which a deterministic
+    # DM 1 leaves one per w, so each sweep sums 8 of 16 history cells
+    omega = FiniteSpace("w", [0, 1, 2, 3])
+    w = np.arange(4)
+    rows1, rows2 = np.eye(2)[w // 2], np.eye(2)[w % 2]
+    team = TeamProblem(
+        omega,
+        Pmf(omega, np.full(4, 0.25)),
+        [FiniteSpace("y1", [0, 1]), FiniteSpace("y2", [0, 1])],
+        [FiniteSpace("u1", [0.0, 1.0, 2.0]), FiniteSpace("u2", [0.0, 1.0])],
+        [MeasurementKernel(1, rows1), MeasurementKernel(2, np.repeat(rows2[:, None, :], 3, axis=1))],
+        CostTable(np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 3, 2))),
+    )
+    with caplog.at_level(logging.DEBUG, logger="teamdec.solvers"):
+        res = pbp_iterate(team)
+    s = res.sweeps
+    assert [r.getMessage() for r in caplog.records] == [
+        f"pbp: {s} sweeps, {2 * s} single-DM updates, {8 * s} of {16 * s} history cells accumulated"
+    ]
+    assert len(res.trace) == 2 * s + 1
+
+    # a kernel over the full history cuts no axis: every cell is taken in
+    caplog.clear()
+    team = random_team(2, dynamic=True)
+    with caplog.at_level(logging.DEBUG, logger="teamdec.solvers"):
+        s = pbp_iterate(team).sweeps
+    assert [r.getMessage() for r in caplog.records] == [
+        f"pbp: {s} sweeps, {2 * s} single-DM updates, {9 * s} of {9 * s} history cells accumulated"
+    ]
+
+
 def test_pbp_started_at_the_optimum_stays_there():
     team = random_team(9, dynamic=True)
     opt = brute_force(team)
@@ -516,6 +604,32 @@ def test_pbp_started_at_the_optimum_stays_there():
     assert res.converged
     assert res.trace[0] == pytest.approx(opt.value, abs=1e-12)
     assert res.value == pytest.approx(opt.value, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3)
+    .filter(lambda dms: np.prod([u ** y for y, u in dms]) <= 729),
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_randomized_profile_beats_the_deterministic_optimum(dms, n_omega, dynamic, zeros, seed):
+    """The cost is linear in each DM's kernel, so the relaxed set's
+    extreme points are deterministic and no randomized profile does
+    better than brute_force's value V*, up to TIE_TOL * max(1, |V*|).
+    The randomized costs come from expected_cost_batch on random
+    kernels, some near a vertex and some in the interior."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    best = brute_force(team).value
+    rng = np.random.default_rng(seed)
+    kernels = [
+        rng.dirichlet(np.full(nu, rng.choice([0.05, 1.0, 20.0])), size=(64, ny)) for ny, nu in dms
+    ]
+    values = expected_cost_batch(team, kernels)
+    assert values.min() >= best - TIE_TOL * max(1.0, abs(best))
 
 
 def test_mixture_relaxation_sits_at_a_vertex():

@@ -4,6 +4,9 @@ enumeration, realization of mixtures, and nonconvexity witnesses."""
 import itertools
 import logging
 import logging.handlers
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -518,6 +521,28 @@ def test_uniform_realization_mixture_reproduces_the_measure():
         assert mixture_cost == pytest.approx(
             target.expected_cost(), abs=1e-12
         )
+
+
+def test_uniform_realization_mixture_leaves_numpy_ma_unimported():
+    # np.unique without an index output imports numpy.ma on first use,
+    # 13-17 ms for a mixture that takes well under a millisecond
+    code = (
+        "import sys\n"
+        "from conftest import random_randomized_profile, random_team\n"
+        "from teamdec.strategic import uniform_realization_mixture\n"
+        "team = random_team(1)\n"
+        "print(len(uniform_realization_mixture(team, random_randomized_profile(team, 2))))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(strategic.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=os.path.dirname(__file__),
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    count, loaded = run.stdout.split()
+    assert int(count) > 1 and loaded == "False"
 
 
 def test_threshold_policy_intervals_are_exact():
