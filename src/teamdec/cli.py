@@ -16,7 +16,6 @@ import json
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -193,7 +192,8 @@ def cmd_solve(args) -> dict:
             doc = read_json(args.init)[0]
         actions = doc.get("actions") if isinstance(doc, dict) else None
         if not isinstance(actions, list) or not all(
-            isinstance(a, list) and all(type(v) is int for v in a) for a in actions
+            isinstance(a, list) and all(type(v) is int and abs(v) < 2**63 for v in a)
+            for a in actions
         ):
             raise ValidationError(
                 "--init needs a JSON object with an 'actions' list of "
@@ -277,58 +277,45 @@ def cmd_strategic(args) -> dict:
     }
 
 
-def _gallery_spec(args) -> Optional[QuadratureSpec]:
-    if args.nodes is None:
-        return None
-    return QuadratureSpec(y1_nodes=args.nodes)
-
-
 def cmd_gallery(args) -> dict:
     name = args.name
     seed = args.seed
-    if name == "witsenhausen":
-        bundle = witsenhausen(args.k, args.sigma, _gallery_spec(args))
+    if name in ("witsenhausen", "signaling"):
+        make, default = {"witsenhausen": (witsenhausen, "affine-vs-quantizer"),
+                         "signaling": (signaling, "affine-vs-search")}[name]
+        spec = None if args.nodes is None else QuadratureSpec(y1_nodes=args.nodes)
+        bundle = make(args.k, args.sigma, spec)
         report = {"k": bundle.team.k, "sigma": bundle.team.sigma}
-        check = args.check or "affine-vs-quantizer"
-        if check == "affine-vs-quantizer":
+        check = args.check or default
+        key = (name, check)
+        if key == ("witsenhausen", "affine-vs-quantizer"):
             report.update(to_jsonable(bundle.affine_vs_quantizer()))
-        elif check == "certify":
+        elif key == ("witsenhausen", "certify"):
             verdict = bundle.certify()
             report["verdict"] = verdict.kind.value
             report["notes"] = list(verdict.notes)
             if verdict.policy_witness is not None:
                 report["violation"] = verdict.policy_witness.violation
-        elif check == "analytic-pair":
+        elif key == ("witsenhausen", "analytic-pair"):
             report["encoder_flip"] = bundle.encoder_flip_report()
             report["negation_bound"] = bundle.negation_bound()
-        elif check == "equivalence":
+        elif key == ("witsenhausen", "equivalence"):
             aff = bundle.affine_optimum()
             g, c = aff.gain, bundle.team.affine_decoder_gain(aff.gain)
             enc, dec, a = bundle.team.quantizer_policies()
             profiles = [
                 snap_profile(bundle.problem, lambda y: g * y, lambda y: c * y),
                 snap_profile(bundle.problem, enc, dec),
-                snap_profile(
-                    bundle.problem,
-                    lambda y: np.zeros_like(y),
-                    lambda y: np.zeros_like(y),
-                ),
+                snap_profile(bundle.problem, np.zeros_like, np.zeros_like),
             ] + seeded_profiles(bundle.problem, seed, 2)
             report["equivalence"] = _equivalence(bundle.reduction, profiles)
-        else:
-            raise ValidationError(f"unknown witsenhausen check {check!r}")
-        return report
-    if name == "signaling":
-        bundle = signaling(args.k, args.sigma, _gallery_spec(args))
-        check = args.check or "affine-vs-search"
-        report = {"k": bundle.team.k, "sigma": bundle.team.sigma}
-        if check == "affine-vs-search":
+        elif key == ("signaling", "affine-vs-search"):
             report.update(to_jsonable(bundle.discretized_search(seed=seed)))
-        elif check == "zero-encoder":
+        elif key == ("signaling", "zero-encoder"):
             report["value_zero_encoder"] = bundle.zero_encoder_value()
             report["state_variance"] = bundle.team.sigma**2
         else:
-            raise ValidationError(f"unknown signaling check {check!r}")
+            raise ValidationError(f"unknown {name} check {check!r}")
         return report
     if name == "square-wave":
         fam = square_wave(args.n)

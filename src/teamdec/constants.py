@@ -43,17 +43,4 @@ TABLE_CAP = 2 * 10**7
 
 def tolerances() -> dict:
     """All constants above, keyed by name, for embedding into reports."""
-    return {
-        "input_mass_tol": INPUT_MASS_TOL,
-        "eq_tol": EQ_TOL,
-        "reduction_tol": REDUCTION_TOL,
-        "lp_tol": LP_TOL,
-        "tie_tol": TIE_TOL,
-        "midpoint_tol": MIDPOINT_TOL,
-        "strict_rate": STRICT_RATE,
-        "fd_step": FD_STEP,
-        "stationarity_tol": STATIONARITY_TOL,
-        "krainak_tol": KRAINAK_TOL,
-        "enum_cap": ENUM_CAP,
-        "table_cap": TABLE_CAP,
-    }
+    return {name.lower(): v for name, v in globals().items() if name.isupper()}

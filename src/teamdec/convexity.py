@@ -39,6 +39,7 @@ from .infostruct import (
     sigma_field_of,
 )
 from .model import DeterministicProfile, TeamProblem, expected_cost
+from .quadrature import QuadMidpointReport
 from . import solvers
 from .solvers import seeded_profiles
 
@@ -343,17 +344,11 @@ class CellWitness:
 
 
 @dataclass(frozen=True)
-class MidpointReport:
+class MidpointReport(QuadMidpointReport):
     """Costs of two profiles and of their action-lattice midpoint; a
     positive ``violation`` means J(midpoint) exceeds the lam-average of
     J_a and J_b."""
 
-    value_a: float
-    value_b: float
-    value_mid: float
-    value_avg: float
-    violation: float
-    lam: float
     midpoint: DeterministicProfile
     snap_error: float
     profile_a: DeterministicProfile

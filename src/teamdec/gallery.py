@@ -207,9 +207,7 @@ class SignalingBundle(GaussianBundle):
     def zero_encoder_value(self) -> float:
         """u1 = 0 carries no information; the best decoder replies with
         the prior mean, paying the full state variance."""
-        return self.team.expected_cost_policies(
-            lambda y: np.zeros_like(y), lambda y: np.zeros_like(y)
-        )
+        return self.team.expected_cost_policies(np.zeros_like, np.zeros_like)
 
     def grid_tolerance(self) -> float:
         r = self.spec.u_range_sigmas * self.team.sigma
@@ -224,11 +222,7 @@ class SignalingBundle(GaussianBundle):
         g, c = aff.gain, self.team.affine_decoder_gain(aff.gain)
         inits = [
             snap_profile(self.problem, lambda y: g * y, lambda y: c * y),
-            snap_profile(
-                self.problem,
-                lambda y: np.zeros_like(y),
-                lambda y: np.zeros_like(y),
-            ),
+            snap_profile(self.problem, np.zeros_like, np.zeros_like),
             snap_profile(
                 self.problem,
                 lambda y: g * self.team.sigma * np.sign(y),

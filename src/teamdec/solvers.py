@@ -311,10 +311,7 @@ def pbp_iterate(
             changed = False
             for i in range(1, problem.n_dms + 1):
                 nxt, val = best_response(problem, current, i)
-                if any(
-                    not np.array_equal(a, b)
-                    for a, b in zip(nxt.actions, current.actions)
-                ):
+                if not np.array_equal(nxt.actions[i - 1], current.actions[i - 1]):
                     changed = True
                 current, value = nxt, val
                 trace.append(value)
