@@ -192,7 +192,7 @@ def cmd_solve(args) -> dict:
             doc = read_json(args.init)[0]
         actions = doc.get("actions") if isinstance(doc, dict) else None
         if not isinstance(actions, list) or not all(
-            isinstance(a, list) and all(type(v) is int and abs(v) < 2**63 for v in a)
+            isinstance(a, list) and all(type(v) is int for v in a)
             for a in actions
         ):
             raise ValidationError(

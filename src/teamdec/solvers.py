@@ -30,6 +30,7 @@ from .model import (
     TeamProblem,
     _compact,
     _forward_law,
+    _live_cells,
     _onto,
     _policy_matrices,
     _value_to_go,
@@ -188,17 +189,33 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
 def _live_onto(law: np.ndarray, value: np.ndarray, cut: tuple) -> np.ndarray:
     """``_onto(law[..., None] * value, kernel)``, ``cut`` being the axes the
     kernel cuts, from the law's nonzero cells only.  Like numpy's sum over
-    axes other than the innermost, it adds from +0 in the C order of the
-    cut cells; a skipped cell adds a signed zero (finite values), so no bit moves."""
+    axes other than the innermost, each history adds from +0 in the C order
+    of the cut cells; a skipped cell adds a signed zero (finite values), so
+    no bit moves.  A law ``_live_cells`` finds sparse is added in one
+    ``np.add.at`` over its nonzero (cut cell, history) pairs in C order,
+    the same scalar adds in the same order; a dense one is added one cut
+    cell at a time, which is faster there."""
     lw, vl = (np.moveaxis(a, cut, range(len(cut))) for a in (law, value))
     acc = np.zeros(lw.shape[len(cut) :] + value.shape[-1:])
-    for c in zip(*np.nonzero(lw.any(axis=tuple(range(len(cut), law.ndim))))):
-        w, v = lw[c], vl[c]
-        if w.all():
-            acc += w[..., None] * v
-        else:
-            nz = np.nonzero(w)
-            acc[nz] += w[nz][:, None] * v[nz]
+    live = _live_cells(lw)
+    if live is not None:
+        nu = value.shape[-1]
+        # each live pair's cell in the law's own C order
+        idx = dict(zip(cut + tuple(a for a in range(law.ndim) if a not in cut),
+                       np.unravel_index(live, lw.shape)))
+        cells = np.ravel_multi_index([idx[a] for a in range(law.ndim)], law.shape)
+        # flat indices: numpy's fast path of add.at takes one index per cell
+        at = (live % (acc.size // nu))[:, None] * nu + np.arange(nu)
+        terms = law.reshape(-1)[cells, None] * value.reshape(-1, nu)[cells]
+        np.add.at(acc.reshape(-1), at.reshape(-1), terms.reshape(-1))
+    else:
+        for c in zip(*np.nonzero(lw.any(axis=tuple(range(len(cut), law.ndim))))):
+            w, v = lw[c], vl[c]
+            if w.all():
+                acc += w[..., None] * v
+            else:
+                nz = np.nonzero(w)
+                acc[nz] += w[nz][:, None] * v[nz]
     return acc.reshape([1 if a in cut else n for a, n in enumerate(law.shape)] + [-1])
 
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamdec import model
@@ -22,6 +22,7 @@ from teamdec.model import (
     RandomizedProfile,
     TeamProblem,
     _compact,
+    _forward_law,
     expected_cost,
     expected_cost_batch,
     induced_joint,
@@ -33,6 +34,7 @@ from conftest import (
     random_profile,
     random_randomized_profile,
     random_team,
+    sparse_team,
 )
 
 
@@ -99,6 +101,60 @@ def test_batch_evaluation_matches_single_evaluation():
         batch = expected_cost_batch(team, stacked)
         singles = np.array([expected_cost(team, p) for p in profiles])
         assert np.allclose(batch, singles, atol=1e-12)
+
+
+def dense_fold(problem, policies):
+    """The forward law under ``policies`` (each with an optional leading
+    batch axis), one dense product per DM over every cell: the stored
+    kernel rows (the full table with each stride-0 history axis cut to
+    length 1) times the policy, times the law so far."""
+    law = problem.prior.mass
+    for kernel, policy in zip(problem.kernels, policies):
+        full = kernel.table
+        rows = full[tuple(slice(0, 1) if s == 0 else slice(None) for s in full.strides[:-1])]
+        g = rows.reshape(-1, rows.shape[-1]) @ policy
+        law = g.reshape(policy.shape[:-2] + rows.shape[:-1] + policy.shape[-1:]) * law[..., None]
+    return law
+
+
+@settings(max_examples=150)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 12)), min_size=1, max_size=3),
+    n_omega=st.integers(1, 4),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a one-hot batch's law after DM 1 fills 1/12 of its cells, then 1/4
+@example(dms=[(2, 12), (2, 3)], n_omega=2, dynamic=True, zeros=False, batch=3, seed=0)
+@example(dms=[(2, 4), (2, 3)], n_omega=2, dynamic=False, zeros=False, batch=3, seed=0)
+def test_folds_match_a_literal_dense_fold_byte_for_byte(dms, n_omega, dynamic, zeros, batch, seed):
+    """The forward law, expected_cost and expected_cost_batch keep every
+    byte of the dense fold, whichever side of the density rule a law is
+    on: with the rule as set, and with every law sent down the sparse
+    (rule 0) or the dense path (a rule no nonzero count passes)."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    stored = [_compact(k.table) for k in team.kernels]
+    cost = team.cost.table.reshape(-1)
+    profiles = [random_profile(team, seed), random_randomized_profile(team, seed)]
+    one_hot = [random_profile(team, seed + b).matrices(team) for b in range(batch)]
+    stacked = [np.stack(m) for m in zip(*one_hot)]
+    want_batch = dense_fold(team, stacked).reshape(batch, -1) @ cost
+    for rule in (0, model._SPARSE, 10**6):  # 10**6: no law here has as many cells
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SPARSE", rule)
+            for profile in profiles:
+                mats = profile.matrices(team)
+                want = dense_fold(team, mats)
+                law = _forward_law(team.prior.mass, stored, mats)
+                assert law.shape == want.shape and law.tobytes() == want.tobytes()
+                got = np.float64(expected_cost(team, profile))
+                assert got.tobytes() == np.float64(want.reshape(-1) @ cost).tobytes()
+            law, want = _forward_law(team.prior.mass, stored, stacked), dense_fold(team, stacked)
+            assert law.shape == want.shape and law.tobytes() == want.tobytes()
+            assert expected_cost_batch(team, stacked).tobytes() == want_batch.tobytes()
 
 
 def test_induced_joint_is_a_probability_with_prior_marginal():

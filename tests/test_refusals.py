@@ -58,6 +58,8 @@ REFUSALS = [
      "1 kernels vs 2 DMs"),
     (lambda: DeterministicProfile([[[0, 1]], [0, 1]]), ValidationError,
      "each policy map must be a 1-D index array"),
+    (lambda: DeterministicProfile([[10**30]]), ValidationError,
+     "each policy map must hold action indices that fit intp"),
     (lambda: RandomizedProfile([[0.5, 0.5]]), ValidationError,
      "each policy kernel must be a 2-D array"),
     (lambda: RandomizedProfile([[[0.5, 0.5]], [[0.5, 0.5]] * 2]).matrices(TEAM),

@@ -26,7 +26,7 @@ from teamdec.model import (
     expected_cost,
     expected_cost_batch,
 )
-from teamdec import solvers
+from teamdec import model, solvers
 from teamdec.gallery import signaling
 from teamdec.quadrature import StaticLQTeam
 from teamdec.solvers import (
@@ -472,6 +472,42 @@ def test_response_table_keeps_the_dense_sums_bits(dms, n_omega, dynamic, zeros, 
         for i in range(1, team.n_dms + 1):
             want = dense_response_table(team, profile, i)
             assert response_table(team, profile, i).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(
+    dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3),
+    n_omega=st.integers(1, 4),
+    dynamic=st.booleans(),
+    zeros=st.booleans(),
+    shift=st.sampled_from([0.0, 0.7]),  # subtracted from the value-to-go
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_onto_adds_the_same_bits_on_either_side_of_the_density_rule(
+    dms, n_omega, dynamic, zeros, shift, seed
+):
+    """_live_onto's np.add.at over the live pairs (rule 0: every law is
+    sparse) and its loop over the cut cells (a rule no nonzero count
+    passes) give the same bytes, on the laws each DM meets under
+    deterministic and randomized profiles, for every set of cut axes:
+    all of them too, a kernel that sees nothing of the history."""
+    y_sizes, u_sizes = zip(*dms)
+    team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    kernels = [_compact(k.table) for k in team.kernels]
+    for profile in (random_profile(team, seed), random_randomized_profile(team, seed)):
+        mats = profile.matrices(team)
+        for i in range(1, team.n_dms + 1):
+            law = model._forward_law(team.prior.mass, kernels[: i - 1], mats[: i - 1])
+            value = model._value_to_go(kernels[i:], mats[i:], team.cost.table) - shift
+            for n in range(1, law.ndim + 1):
+                for cut in itertools.combinations(range(law.ndim), n):
+                    sums = []
+                    for rule in (0, 10**6):  # 10**6: no law here has as many cells
+                        with pytest.MonkeyPatch.context() as mp:
+                            mp.setattr(model, "_SPARSE", rule)
+                            sums.append(solvers._live_onto(law, value, cut))
+                    assert sums[0].shape == sums[1].shape
+                    assert sums[0].tobytes() == sums[1].tobytes()
 
 
 def test_best_response_improves_and_respects_dead_rows():
