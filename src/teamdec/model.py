@@ -31,12 +31,16 @@ from .constants import INPUT_MASS_TOL, TABLE_CAP
 from .errors import CapExceeded, DimensionMismatch, NonNumericActions, ValidationError
 
 # a fold handles a law with fewer than 1/_SPARSE of its cells nonzero cell by
-# cell (``_live_cells``).  On the signaling team's DM 2 shapes (a 64 x 129
+# cell (``_live_cells``): the forward step, the response sum and the cost
+# contraction's last step.  On the signaling team's DM 2 shapes (a 64 x 129
 # law, 129 actions; x86, one BLAS thread) the cell-by-cell forward step and
 # response sum won at 1/8 of the cells live and lost from 1/4 on, by 4-5x
-# on a full law.  Below about 10,000 cells of the next law the scatter's
-# fixed cost (about 10 us) loses a few microseconds to the dense product;
-# those calls are too cheap for a size floor to pay for a second rule
+# on a full law.  The contraction's last step forms only the live rows and
+# scatters nothing: one expected_cost of the snapped affine profile took
+# 1.14 ms with the whole last step and a BLAS dot, 0.19 ms on its live rows.
+# Below about 10,000 cells of the next law the scatter's fixed cost (about
+# 10 us) loses a few microseconds to the dense product; those calls are too
+# cheap for a size floor to pay for a second rule
 _SPARSE = 8
 
 
@@ -269,7 +273,9 @@ def _check_policy_count(policies: Sequence, problem: TeamProblem) -> None:
 
 @dataclass(frozen=True)
 class DeterministicProfile:
-    """One pure policy per DM: an action index for each measurement index."""
+    """One pure policy per DM: an action index for each measurement index.
+    Indices must be integers (bools count as 0 and 1): a float or a
+    string, even "1" or 1.0, is refused rather than truncated."""
 
     actions: tuple  # per DM, an intp array of length |Y_k| with values in U_k
 
@@ -277,11 +283,19 @@ class DeterministicProfile:
         maps = []
         for a in actions:
             try:
-                arr = np.asarray(a, dtype=np.intp)
+                raw = np.asarray(a)
+                integral = raw.size == 0 or raw.dtype.kind in "biu" or (
+                    # Python ints too large for int64 make an object array
+                    raw.dtype.kind == "O"
+                    and all(isinstance(v, (int, np.integer)) for v in raw.flat)
+                )
+                arr = np.asarray(raw, dtype=np.intp) if integral else None
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(
                     "each policy map must hold action indices that fit intp"
                 ) from None
+            if arr is None:
+                raise ValidationError("each policy map must hold integer action indices")
             if arr.ndim != 1:
                 raise ValidationError("each policy map must be a 1-D index array")
             arr = np.ascontiguousarray(arr)
@@ -429,33 +443,46 @@ def _live_cells(law: np.ndarray):
     return None
 
 
+def _next_law(law: np.ndarray, g: np.ndarray, sparse: bool = True):
+    """One fold step, the next action's factor times the law so far:
+    rows G[h, u] * law[h].  Returns (live, rows).  When ``sparse`` and
+    ``_live_cells`` finds ``law`` sparse, live holds its nonzero
+    histories and rows only theirs, in C order; else live is None and
+    rows is the whole product over the law's shape and the action."""
+    # the prior under a batch of policies lacks the batch axis: whole
+    live = _live_cells(law) if sparse and law.ndim + 1 == g.ndim else None
+    if live is None:
+        return None, g * law[..., None]
+    # the factor's row for each live history: clipping an index to a
+    # length-1 axis is broadcasting along it
+    rows = np.ravel_multi_index(np.unravel_index(live, law.shape), g.shape[:-1], mode="clip")
+    terms = g.reshape(-1, g.shape[-1])[rows]
+    terms *= law.reshape(-1)[live, None]
+    return live, terms
+
+
 def _forward_law(prior: np.ndarray, kernels: Sequence, policies: Sequence) -> np.ndarray:
     """Law of (omega0, u1, ..., uk) for the first k = len(policies) DMs:
-    each step multiplies the law by the next action factor.  A law that
-    ``_live_cells`` finds sparse is multiplied only at its nonzero
-    histories, scattered into zeros; a dense one keeps the whole-array
-    product.  Each stored cell is the same IEEE product either way, and
-    with finite masses, none negative, each skipped cell is the +0 the
-    product would give, so the law keeps its bytes.  The one exception is
-    a prior mass of -0.0, which validation accepts: the dense product
-    stored -0 at its histories, this fold stores +0."""
+    each step multiplies the law by the next action factor
+    (``_next_law``).  A law that ``_live_cells`` finds sparse is
+    multiplied only at its nonzero histories, scattered into zeros; a
+    dense one keeps the whole-array product.  Each stored cell is the
+    same IEEE product either way, and with finite masses, none negative,
+    each skipped cell is the +0 the product would give, so the law keeps
+    its bytes.  The one exception is a prior mass of -0.0, which
+    validation accepts: the dense product stored -0 at its histories,
+    this fold stores +0."""
     law = prior
     for kernel, policy in zip(kernels, policies):
         g = _action_factor(kernel, policy)
-        # the prior under a batch of policies lacks the batch axis: whole
-        live = _live_cells(law) if law.ndim + 1 == g.ndim else None
+        live, terms = _next_law(law, g)
         if live is None:
-            law = g * law[..., None]
+            law = terms
             continue
-        # the factor's row for each live history: clipping an index to a
-        # length-1 axis is broadcasting along it
-        rows = np.ravel_multi_index(np.unravel_index(live, law.shape), g.shape[:-1], mode="clip")
-        nu = g.shape[-1]
-        terms = g.reshape(-1, nu)[rows]
-        terms *= law.reshape(-1)[live, None]
         # the factor, and on rebinding the old law, go before the scatter
         # writes the zeros' pages: the dense step's peak resident memory
         del g
+        nu = terms.shape[-1]
         law = np.zeros(law.shape + (nu,))
         law.reshape(-1, nu)[live] = terms
     return law
@@ -471,10 +498,36 @@ def _value_to_go(kernels: Sequence, policies: Sequence, cost: np.ndarray) -> np.
 
 
 def _chain_cost(prior, kernels, policies, cost: np.ndarray):
-    """The forward law of all DMs dotted with the cost (per batch entry)."""
-    law = _forward_law(prior, kernels, policies)
-    lead = law.shape[: law.ndim - cost.ndim]
-    return law.reshape(lead + (cost.size,)) @ cost.reshape(-1)
+    """Expected cost under the policies (per batch entry): the forward
+    law of DMs 1..N-1, with DM N's step fused into the cost.
+
+    The order of the sum, which fixes its bits: terms[h, u] = G_N[h, u] *
+    law[h] * cost[h, u], multiplied in that order; for each action u the
+    terms are added over the histories h = (omega0, u1, ..., u_{N-1}) in
+    C order, one after another from +0 (numpy's sum along a non-innermost
+    axis); then one ``np.sum`` adds the |U_N| column totals (pairwise
+    from eight up).  No BLAS call is made, so the bits do not depend on
+    the BLAS build or its thread count.  When ``_live_cells`` finds one
+    profile's law sparse, only its live rows are formed, in C order: a
+    skipped row adds +0, which moves no bit, so both paths give the same
+    bytes.  With |U_N| = 1 numpy sums the single column pairwise, where
+    skipping rows would regroup the sum, so that case, dense laws and a
+    batch of policies take the whole-array product.  A nonfinite cost at
+    a history the law does not reach is skipped on the sparse path (the
+    whole product would give NaN there); ``validate`` reports it."""
+    if not policies:  # a team of no DMs: the prior against the cost
+        return (prior * cost).sum()
+    law = _forward_law(prior, kernels[:-1], policies[:-1])
+    g = _action_factor(kernels[-1], policies[-1])
+    nu = g.shape[-1]
+    # a batch's law has a leading axis the cost lacks
+    live, terms = _next_law(law, g, sparse=nu > 1 and law.ndim < cost.ndim)
+    if live is None:
+        terms *= cost
+        lead = terms.shape[: terms.ndim - cost.ndim]
+        return terms.reshape(lead + (-1, nu)).sum(axis=-2).sum(axis=-1)
+    terms *= cost.reshape(-1, nu)[live]
+    return terms.sum(axis=0).sum()
 
 
 def expected_cost(problem: TeamProblem, profile) -> float:

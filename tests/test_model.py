@@ -117,6 +117,23 @@ def dense_fold(problem, policies):
     return law
 
 
+def summed_in_order(law, cost):
+    """The cost contraction's order written out from a whole law over
+    ([batch,] omega0, u1, ..., uN): the products law * cost, added over
+    the histories one after another from +0 within each column of u_N
+    (pairwise, as one np.sum, when u_N has a single point), then the
+    column totals added by np.sum."""
+    nu = cost.shape[-1]
+    terms = law * cost
+    cols = terms.reshape(terms.shape[: terms.ndim - cost.ndim] + (-1, nu))
+    if nu == 1:
+        return np.sum(cols[..., 0], axis=-1)
+    acc = np.zeros(cols.shape[:-2] + (nu,))
+    for h in range(cols.shape[-2]):
+        acc = acc + cols[..., h, :]
+    return np.sum(acc, axis=-1)
+
+
 @settings(max_examples=150)
 @given(
     dms=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 12)), min_size=1, max_size=3),
@@ -129,19 +146,25 @@ def dense_fold(problem, policies):
 # a one-hot batch's law after DM 1 fills 1/12 of its cells, then 1/4
 @example(dms=[(2, 12), (2, 3)], n_omega=2, dynamic=True, zeros=False, batch=3, seed=0)
 @example(dms=[(2, 4), (2, 3)], n_omega=2, dynamic=False, zeros=False, batch=3, seed=0)
+# one action for the last DM: its single column is summed pairwise
+@example(dms=[(3, 12), (3, 1)], n_omega=4, dynamic=True, zeros=True, batch=3, seed=1)
+# ten actions for the last DM: its column totals are summed pairwise
+@example(dms=[(3, 6), (2, 10)], n_omega=4, dynamic=True, zeros=False, batch=2, seed=1)
 def test_folds_match_a_literal_dense_fold_byte_for_byte(dms, n_omega, dynamic, zeros, batch, seed):
-    """The forward law, expected_cost and expected_cost_batch keep every
-    byte of the dense fold, whichever side of the density rule a law is
-    on: with the rule as set, and with every law sent down the sparse
-    (rule 0) or the dense path (a rule no nonzero count passes)."""
+    """The forward law keeps every byte of the dense fold, and
+    expected_cost and expected_cost_batch every byte of the dense fold's
+    law summed in the contraction's order, whichever side of the density
+    rule a law is on: with the rule as set, and with every law sent down
+    the sparse (rule 0) or the dense path (a rule no nonzero count
+    passes)."""
     y_sizes, u_sizes = zip(*dms)
     team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
     stored = [_compact(k.table) for k in team.kernels]
-    cost = team.cost.table.reshape(-1)
+    cost = team.cost.table
     profiles = [random_profile(team, seed), random_randomized_profile(team, seed)]
     one_hot = [random_profile(team, seed + b).matrices(team) for b in range(batch)]
     stacked = [np.stack(m) for m in zip(*one_hot)]
-    want_batch = dense_fold(team, stacked).reshape(batch, -1) @ cost
+    want_batch = summed_in_order(dense_fold(team, stacked), cost)
     for rule in (0, model._SPARSE, 10**6):  # 10**6: no law here has as many cells
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_SPARSE", rule)
@@ -151,10 +174,16 @@ def test_folds_match_a_literal_dense_fold_byte_for_byte(dms, n_omega, dynamic, z
                 law = _forward_law(team.prior.mass, stored, mats)
                 assert law.shape == want.shape and law.tobytes() == want.tobytes()
                 got = np.float64(expected_cost(team, profile))
-                assert got.tobytes() == np.float64(want.reshape(-1) @ cost).tobytes()
+                assert got.tobytes() == np.float64(summed_in_order(want, cost)).tobytes()
             law, want = _forward_law(team.prior.mass, stored, stacked), dense_fold(team, stacked)
             assert law.shape == want.shape and law.tobytes() == want.tobytes()
             assert expected_cost_batch(team, stacked).tobytes() == want_batch.tobytes()
+
+
+def test_a_team_of_no_decision_makers_costs_the_prior_against_the_cost():
+    omega = FiniteSpace("w", [0, 1])
+    team = TeamProblem(omega, Pmf(omega, [0.25, 0.75]), [], [], [], CostTable([1.0, 2.0]))
+    assert expected_cost(team, DeterministicProfile([])) == 1.75
 
 
 def test_induced_joint_is_a_probability_with_prior_marginal():
@@ -416,6 +445,19 @@ def test_profile_validation_errors():
             expected_cost(team, DeterministicProfile([[0, 0]] * count))
         with pytest.raises(DimensionMismatch):
             expected_cost(team, RandomizedProfile([np.eye(2)] * count))
+
+
+def test_deterministic_profile_takes_integer_indices_and_refuses_others():
+    """Integer maps of any integer dtype (and bools) keep their values; a
+    float or a string index is refused, not truncated to an action."""
+    for given in ([1, 0, 2], np.array([1, 0, 2], dtype=np.uint8), np.array([1, 0, 2], dtype=np.int32)):
+        (arr,) = DeterministicProfile([given]).actions
+        assert arr.dtype == np.intp and arr.tolist() == [1, 0, 2]
+    assert DeterministicProfile([[True, False]]).actions[0].tolist() == [1, 0]
+    for given in ([1.5], ["1"], [1.0], np.array([2.0, 0.0]), [b"1"], [None],
+                  np.array([1.5], dtype=object), np.array(["1"], dtype=object)):
+        with pytest.raises(ValidationError, match="must hold integer action indices"):
+            DeterministicProfile([[0], given])
 
 
 def test_validate_messages_print_plain_numbers():

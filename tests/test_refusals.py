@@ -60,6 +60,10 @@ REFUSALS = [
      "each policy map must be a 1-D index array"),
     (lambda: DeterministicProfile([[10**30]]), ValidationError,
      "each policy map must hold action indices that fit intp"),
+    (lambda: DeterministicProfile([[1.5]]), ValidationError,
+     "each policy map must hold integer action indices"),
+    (lambda: DeterministicProfile([["1"]]), ValidationError,
+     "each policy map must hold integer action indices"),
     (lambda: RandomizedProfile([[0.5, 0.5]]), ValidationError,
      "each policy kernel must be a 2-D array"),
     (lambda: RandomizedProfile([[[0.5, 0.5]], [[0.5, 0.5]] * 2]).matrices(TEAM),
