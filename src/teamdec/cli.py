@@ -38,13 +38,13 @@ from .model import (
 )
 from .probio import (
     ProblemFile,
-    json_text,
     load_measure,
     load_problem,
     load_references,
     mass_map,
     problem_to_dict,
     read_json,
+    write_json,
 )
 from .quadrature import QuadratureSpec, snap_profile
 from .reduction import static_reduce, verify_equivalence
@@ -107,7 +107,7 @@ def _load(path: str) -> ProblemFile:
     violations = validate(pf.problem)
     if violations:
         raise InvalidInput(
-            f"{path} failed validation with {len(violations)} violation(s)",
+            f"{path} failed validation with {violations.total} violation(s)",
             violations,
         )
     return pf
@@ -433,12 +433,11 @@ PARSER = build_parser()
 
 
 def _emit(report: dict, args) -> None:
-    text = json_text(report, default=to_jsonable)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_json(report, fh, default=to_jsonable)
     else:
-        sys.stdout.write(text)
+        write_json(report, sys.stdout, default=to_jsonable)
 
 
 def _base_report(args) -> dict:

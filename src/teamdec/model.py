@@ -42,6 +42,9 @@ from .errors import CapExceeded, DimensionMismatch, NonNumericActions, Validatio
 # 10 us) loses a few microseconds to the dense product; those calls are too
 # cheap for a size floor to pay for a second rule
 _SPARSE = 8
+# kernel-row violations validate lists; past these it counts them.  Not a
+# tolerance, so not in tolerances()
+_LISTED = 100
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -362,13 +365,25 @@ class Violation:
     message: str
 
 
-def validate(problem: TeamProblem) -> list:
+class Violations(list):
+    """``validate``'s listing of Violations, and ``total``: how many
+    violations it found, listed or not."""
+
+    def __init__(self, listed: list, total: int):
+        super().__init__(listed)
+        self.total = total
+
+
+def validate(problem: TeamProblem) -> Violations:
     """The value faults of a problem, whose structure its constructor has
     checked: each full history whose kernel row is not a probability
     vector (``kernel-row``), then the first non-finite cost
     (``cost-nonfinite``) or else the first negative one (``cost-negative``).
-    Empty iff the problem is valid."""
-    out = []
+    Bad rows are counted first and only the first ``_LISTED`` (by DM, then
+    history in C order) are listed; past that, one closing ``kernel-row``
+    entry with an empty ``where`` states their count.  Empty iff the
+    problem is valid."""
+    out, bad_rows = [], 0
     for k in range(1, problem.n_dms + 1):
         table = problem.kernels[k - 1].table
         rows = _compact(table)  # each stored row is checked once, then reported per history
@@ -379,8 +394,13 @@ def validate(problem: TeamProblem) -> list:
             | ~np.isfinite(rows).all(axis=-1)
         )
         hist_shape = table.shape[:-1]
+        # each stored row stands for as many histories as every other
+        bad_rows += int(np.count_nonzero(bad)) * (math.prod(hist_shape) // bad.size)
+        room = _LISTED - len(out)
+        if room <= 0:
+            continue
         sums = np.broadcast_to(sums, hist_shape)
-        for b in np.flatnonzero(np.broadcast_to(bad, hist_shape)):
+        for b in np.flatnonzero(np.broadcast_to(bad, hist_shape))[:room]:
             idx = tuple(map(int, np.unravel_index(b, hist_shape)))
             labels = _history_labels(problem, k, idx)
             out.append(
@@ -391,6 +411,10 @@ def validate(problem: TeamProblem) -> list:
                     f"{float(sums[idx])!r} or has invalid entries",
                 )
             )
+    if bad_rows > _LISTED:
+        out.append(Violation("kernel-row", (), f"{bad_rows} kernel rows in all are not "
+                             f"probability vectors; the first {_LISTED} are listed"))
+    kernel_entries = len(out)
     c = problem.cost.table
     if not np.all(np.isfinite(c)):
         where = tuple(map(int, np.unravel_index(int(np.argmax(~np.isfinite(c))), c.shape)))
@@ -398,7 +422,7 @@ def validate(problem: TeamProblem) -> list:
     elif np.any(c < 0):
         where = tuple(map(int, np.unravel_index(int(np.argmax(c < 0)), c.shape)))
         out.append(Violation("cost-negative", where, f"cost is negative at {where}"))
-    return out
+    return Violations(out, bad_rows + len(out) - kernel_entries)
 
 
 def _history_labels(problem: TeamProblem, k: int, idx: tuple) -> tuple:

@@ -21,7 +21,7 @@ contain the ``|`` separator.
 The codec moves whole tables, and one key builder serves both ways:
 the writer's keys follow the C order of ``table.reshape(-1)``.  The
 reader counts each table's cells first (CapExceeded over TABLE_CAP).  A
-section that lists every cell in the order ``json_text`` writes, as
+section that lists every cell in the order ``write_json`` writes, as
 every full table written here does, equals the keys built from sorted
 labels (compared a block at a time) and fills its table at once; any
 other section has its keys split at once and fills its table with one
@@ -30,11 +30,17 @@ parts or an unknown label, a value ``float`` rejects, a section or
 kernel row that is not an object) raises ValidationError naming the
 first offending key in document order.  A reference file is a list of
 one measurement mass map per DM, each read and written like the prior.
+
+Every file and report goes out through one streaming writer,
+``write_json``, which hands json's C encoder a bounded slice of a
+container at a time, so the whole text is never held; ``read_json``
+drops a file's bytes before the parse and its text after it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -136,7 +142,7 @@ def _shape(maps: list) -> tuple:
 def _written_at(keys: list, maps: list):
     """The index at which the table takes its entries, in written order
     and reshaped to its shape, when ``keys`` are all its keys in the order
-    ``json_text`` writes them; else None.  Sorted keys sort their labels,
+    ``write_json`` writes them; else None.  Sorted keys sort their labels,
     each but the last with SEP behind it; the keys are compared one block
     per label of the first axis."""
     pieces = [[s + SEP for s in m] for m in maps[:-1]] + [list(maps[-1])]
@@ -359,74 +365,99 @@ def digest_bytes(data: bytes) -> str:
 
 
 def read_json(path: str) -> tuple:
-    """The JSON document in the UTF-8 file at ``path``, and its bytes."""
+    """The JSON document in the UTF-8 file at ``path``, and the digest of
+    its bytes.  The bytes go once hashed and decoded, before the parse,
+    and the text once parsed, so a caller holds the tree alone."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data.decode("utf-8")), data
+    digest = digest_bytes(data)
+    text = data.decode("utf-8")
+    del data
+    return json.loads(text), digest
 
 
 _PLAIN = {str, int, float, bool, type(None)}
+_SLICE = 1024  # members of a container that one call of the C encoder writes
 
 
-def json_text(doc, default=None) -> str:
-    """The text of every written document and report: the bytes of
-    ``json.dumps(doc, default=default, sort_keys=True, indent=2) + "\n"``.
-    Each container goes to json's C encoder, one per depth, whose item
-    separator holds the line break and indent; members that are not of
-    exact type str, int, float, bool or None go as null, and their own
-    text then takes that null's place.  The pieces are joined once."""
-    out, encoders = [], {}
+def write_json(doc, fh, default=None) -> None:
+    """Write to the text handle ``fh`` the text of every written document
+    and report: the bytes of ``json.dumps(doc, default=default,
+    sort_keys=True, indent=2) + "\n"``.  A container goes to json's C
+    encoder ``_SLICE`` members at a time (a dict's in the order of its
+    sorted keys), with an item separator that holds the line break and
+    indent of its depth; members that are not of exact type str, int,
+    float, bool or None go as null, and their own text then takes that
+    null's place.  No piece of text is longer than one slice's, so the
+    whole text is never held.  A document ``json.dumps`` refuses raises
+    the same error, but only where the writer reaches the fault, so it
+    can leave a partial file; with ``cli.to_jsonable`` as ``default`` no
+    report is refused."""
+    encoders = {}
 
     def write(obj, depth: int) -> None:
         if depth not in encoders:
             sep = ",\n" + "  " * (depth + 1)
-            encoders[depth] = json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
+            encoders[depth] = json.JSONEncoder(separators=(sep, ": "))
         enc = encoders[depth]
         if isinstance(obj, dict):
-            members = obj.values()
+            keys = sorted(obj)
         elif isinstance(obj, (list, tuple)):
-            members = obj
+            keys = None
         elif isinstance(obj, (str, int, float)) or obj is None:
-            return out.append(enc.encode(obj))
+            return fh.write(enc.encode(obj))
         else:
             return write((default or enc.default)(obj), depth)
-        end = "\n" + "  " * depth
-        if _PLAIN.issuperset(map(type, members)):
-            flat = enc.encode(obj)
-            if len(flat) == 2:
-                return out.append(flat)
-            return out.extend([flat[0], enc.item_separator[1:], flat[1:-1], end, flat[-1]])
-        if members is obj:
-            nested, shallow = obj, [v if type(v) in _PLAIN else None for v in obj]
-        else:  # the C encoder orders a dict's items as sorted() does
-            nested = [v for _, v in sorted(obj.items())]
-            shallow = {k: v if type(v) in _PLAIN else None for k, v in obj.items()}
-        flat = enc.encode(shallow)
-        out.extend([flat[0], enc.item_separator[1:]])
-        # strings escape line breaks: the text has one only in each separator
-        for i, (part, v) in enumerate(zip(flat[1:-1].split(enc.item_separator), nested)):
-            if i:
-                out.append(enc.item_separator)
-            if type(v) in _PLAIN:
-                out.append(part)
+        brackets = "[]" if keys is None else "{}"
+        if not obj:
+            return fh.write(brackets)
+        fh.write(brackets[0] + enc.item_separator[1:])
+        for at in range(0, len(obj), _SLICE):
+            if at:
+                fh.write(enc.item_separator)
+            if keys is None:
+                part = members = obj[at : at + _SLICE]
             else:
-                out.append(part[: -len("null")])
-                write(v, depth + 1)
-        out.extend([end, flat[-1]])
+                part = {k: obj[k] for k in keys[at : at + _SLICE]}
+                members = part.values()
+            if _PLAIN.issuperset(map(type, members)):
+                fh.write(enc.encode(part)[1:-1])
+                continue
+            if keys is None:
+                shallow = [v if type(v) in _PLAIN else None for v in part]
+            else:
+                shallow = {k: v if type(v) in _PLAIN else None for k, v in part.items()}
+            flat = enc.encode(shallow)
+            # strings escape line breaks: the text has one only in each separator
+            for i, (text, v) in enumerate(zip(flat[1:-1].split(enc.item_separator), members)):
+                if i:
+                    fh.write(enc.item_separator)
+                if type(v) in _PLAIN:
+                    fh.write(text)
+                else:
+                    fh.write(text[: -len("null")])
+                    write(v, depth + 1)
+        fh.write("\n" + "  " * depth + brackets[1])
 
     write(doc, 0)
-    out.append("\n")
-    return "".join(out)
+    fh.write("\n")
+
+
+def json_text(doc, default=None) -> str:
+    """The text ``write_json`` writes."""
+    out = io.StringIO()
+    write_json(doc, out, default)
+    return out.getvalue()
 
 
 def load_problem(path: str) -> ProblemFile:
-    doc, data = read_json(path)
-    return ProblemFile(problem_from_dict(doc), digest_bytes(data))
+    doc, digest = read_json(path)
+    return ProblemFile(problem_from_dict(doc), digest)
 
 
 def save_problem(problem: TeamProblem, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(problem_to_dict(problem)))
+        write_json(problem_to_dict(problem), fh)
 
 
 # -- strategic measures -----------------------------------------------------

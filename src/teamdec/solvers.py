@@ -118,6 +118,8 @@ def profile_values(problem: TeamProblem, count: int) -> np.ndarray:
     total = problem.n_deterministic_profiles()
     if not 0 <= count <= total:
         raise ValidationError(f"{count} profiles requested of {total}")
+    if not problem.n_dms:  # the one, empty, profile
+        return np.array([expected_cost(problem, DeterministicProfile([]))])[:count]
     ny, nu = len(problem.y_spaces[-1]), len(problem.u_spaces[-1])
     n_maps = nu**ny
     (last,) = _profile_maps(
@@ -158,6 +160,9 @@ def brute_force(problem: TeamProblem, cap: int = ENUM_CAP) -> SolveResult:
     bounds the number of profiles, not prefixes.
     """
     total = CapExceeded.check(problem.n_deterministic_profiles(), cap)
+    if not problem.n_dms:  # the one, empty, profile
+        empty = DeterministicProfile([])
+        return SolveResult(expected_cost(problem, empty), empty, 0, total)
     prefixes = total // len(problem.u_spaces[-1]) ** len(problem.y_spaces[-1])
     values, cells = [], 0
     for _, table in _prefix_tables(problem, prefixes):

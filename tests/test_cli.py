@@ -189,6 +189,36 @@ def test_validate_analysis_commands_reject_invalid_input(tmp_path, capsys):
     assert report["error"]["violations"]
 
 
+def test_validate_lists_a_bounded_prefix_of_many_violations(tmp_path, capsys):
+    """Three DMs of 40 actions and one kernel row each leave 9 + 399 +
+    15,999 histories without a row: the report lists the first 100 and
+    one closing entry with the total, which the refusal message keeps."""
+    path = tmp_path / "holes.json"
+    path.write_text(json.dumps({
+        "spaces": {"omega0": {"points": list(range(10))},
+                   "measurements": [{"points": [0]}] * 3,
+                   "actions": [{"points": list(range(40))}] * 3},
+        "prior": {"0": 1.0},
+        "kernels": [{"0": {"0": 1.0}}, {"0|0": {"0": 1.0}}, {"0|0|0": {"0": 1.0}}],
+        "cost": {"0|0|0|0": 1.0},
+    }))
+    code, report = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    listed = report["violations"]
+    assert len(listed) == 101 and {v["code"] for v in listed} == {"kernel-row"}
+    assert [v["where"] for v in listed[:10]] == [[1, w] for w in range(1, 10)] + [[2, 0, 1]]
+    assert listed[-1] == {
+        "code": "kernel-row",
+        "where": [],
+        "message": "16407 kernel rows in all are not probability vectors; "
+        "the first 100 are listed",
+    }
+    code, report = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert report["error"]["message"] == f"{path} failed validation with 16407 violation(s)"
+    assert report["error"]["violations"] == listed
+
+
 def test_missing_file_and_broken_json_exit_2(tmp_path, capsys):
     code, report = run_cli(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2

@@ -25,6 +25,7 @@ from teamdec.model import (
     _forward_law,
     expected_cost,
     expected_cost_batch,
+    Violation,
     induced_joint,
     validate,
 )
@@ -274,6 +275,34 @@ def test_validate_reports_a_stored_row_at_every_history_it_covers():
     finally:
         tracemalloc.stop()
     assert peak < problem.kernels[1].table.size * 8 / 4
+
+
+def test_validate_lists_the_first_kernel_rows_and_counts_the_rest(monkeypatch):
+    """Past ``_LISTED`` bad rows the listing is the unbounded listing's
+    first ``_LISTED`` entries, then one entry stating the count; the cost
+    finding follows and ``total`` counts every violation."""
+    team = random_team(2, n_omega=3, u_sizes=(4, 2))
+    shared = np.broadcast_to([[0.7, 0.7]], (3, 4, 2))  # 12 bad histories, one stored row
+    cost = team.cost.table.copy()
+    cost[0, 0, 0] = -1.0
+    prob = TeamProblem(team.omega0, team.prior, team.y_spaces, team.u_spaces,
+                       [MeasurementKernel(1, np.full((3, 2), 0.25)), MeasurementKernel(2, shared)],
+                       CostTable(cost))
+    monkeypatch.setattr(model, "_LISTED", 10**6)
+    every = validate(prob)
+    assert len(every) == every.total == 3 + 12 + 1
+    for listed in (0, 2, 5, 14):
+        monkeypatch.setattr(model, "_LISTED", listed)
+        found = validate(prob)
+        assert found.total == 16
+        assert found[:listed] == every[:listed]
+        assert found[listed:] == [
+            Violation("kernel-row", (), f"15 kernel rows in all are not probability "
+                      f"vectors; the first {listed} are listed"),
+            every[-1],
+        ]
+    monkeypatch.setattr(model, "_LISTED", 15)
+    assert validate(prob) == every
 
 
 def test_validate_flags_shape_mismatch_before_values():

@@ -547,8 +547,13 @@ def _report_docs():
 @settings(max_examples=300)
 @given(doc=_report_docs())
 def test_json_text_writes_the_bytes_of_json_dumps(doc):
+    """Also with slices of 1, 2 and 3 members, which the generated
+    containers (up to 4 members) cross."""
     want = json.dumps(doc, default=to_jsonable, sort_keys=True, indent=2) + "\n"
-    assert json_text(doc, default=to_jsonable) == want
+    for size in (1, 2, 3, probio._SLICE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probio, "_SLICE", size)
+            assert json_text(doc, default=to_jsonable) == want
 
 
 def test_json_text_refuses_what_json_dumps_refuses():
@@ -558,6 +563,41 @@ def test_json_text_refuses_what_json_dumps_refuses():
         with pytest.raises(TypeError) as got:
             json_text(doc)
         assert str(got.value) == str(want.value)
+
+
+def test_write_json_writes_a_large_table_a_slice_at_a_time(tmp_path):
+    """A plain dict of 80,000 floats goes to a file at under 2 MB above
+    the dict (the whole text alone is 2.8 MB), byte for byte as
+    ``json_text`` and ``json.dumps`` write it."""
+    values = np.random.default_rng(0).uniform(size=(4000, 20))
+    doc = {f"w{i}|u{j}": float(v) for (i, j), v in np.ndenumerate(values)}
+    path = tmp_path / "table.json"
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            probio.write_json(doc, fh)
+
+    _, peak = _peak(write)
+    assert peak < 2 * 2**20
+    text = path.read_text(encoding="utf-8")
+    assert len(text) > 2.5 * 10**6
+    assert text == json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_load_problem_drops_the_bytes_and_text_as_it_goes(tmp_path):
+    """Loading a 3.4 MB problem file peaks at most 1.5 file sizes above
+    ``json.loads``' own peak on its text: the bytes are gone before the
+    parse and the text before the tables are built."""
+    path = tmp_path / "wide.json"
+    save_problem(random_team(0, 200, (1, 1), (20, 20)), str(path))
+    size = path.stat().st_size
+    assert size > 2 * 10**6
+    text = path.read_text(encoding="utf-8")
+    _, loads_peak = _peak(lambda: json.loads(text))
+    del text
+    loaded, peak = _peak(lambda: load_problem(str(path)))
+    assert peak <= loads_peak + 1.5 * size
+    assert loaded.digest == digest_bytes(path.read_bytes())
 
 
 def written_doc(problem) -> dict:

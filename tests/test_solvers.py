@@ -260,6 +260,23 @@ def test_profile_values_refuse_counts_past_the_last_profile():
             profile_values(team, count)
 
 
+def test_a_team_of_no_dms_has_one_empty_profile():
+    omega = FiniteSpace("w", [0, 1])
+    team = TeamProblem(omega, Pmf(omega, np.array([0.5, 0.5])), [], [], [],
+                       CostTable(np.array([1.0, 2.0])))
+    want = expected_cost(team, DeterministicProfile([]))
+    assert want == 1.5
+    res = brute_force(team)
+    assert (res.value, res.index, res.n_profiles) == (want, 0, 1)
+    assert res.profile.actions == ()
+    assert profile_values(team, 1).tolist() == [want]
+    assert profile_values(team, 0).shape == (0,)
+    with pytest.raises(ValidationError, match="2 profiles requested of 1"):
+        profile_values(team, 2)
+    with pytest.raises(CapExceeded):
+        brute_force(team, cap=0)
+
+
 @settings(max_examples=100)
 @given(
     dms=st.lists(
