@@ -29,7 +29,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constants import MIDPOINT_TOL, STRICT_RATE, TABLE_CAP
-from .errors import CapExceeded, NonNumericActions, StaticRequired, ValidationError
+from .errors import (
+    CapExceeded,
+    GroundMismatch,
+    NonNumericActions,
+    StaticRequired,
+    ValidationError,
+)
 from .infostruct import (
     Partition,
     _observation,
@@ -65,10 +71,18 @@ class ConditionalCost:
 
 
 def conditional_cost(problem: TeamProblem, partition: Partition) -> ConditionalCost:
+    """The problem's cost conditioned on each block of a partition of
+    its exogenous space.  Raises GroundMismatch when the partition lives
+    on another space, even one of the same size."""
     if len(partition.ground) != len(problem.omega0):
-        raise ValidationError(
+        raise GroundMismatch(
             "partition ground has size "
             f"{len(partition.ground)}, expected {len(problem.omega0)}"
+        )
+    if partition.ground.points != problem.omega0.points:
+        raise GroundMismatch(
+            f"partition ground {partition.ground.name!r} has other points "
+            f"than the exogenous space {problem.omega0.name!r}"
         )
     keep, masses, tables, skipped = [], [], [], []
     for b, mass, table in _block_costs(problem, partition):
@@ -83,12 +97,20 @@ def conditional_cost(problem: TeamProblem, partition: Partition) -> ConditionalC
 
 def _block_costs(problem: TeamProblem, partition: Partition):
     """(block index, mass, conditional cost table) block by block, built
-    as they are asked for; a zero-mass block's table is None."""
+    as they are asked for; a zero-mass block's table is None.  A block
+    of consecutive exogenous points (a whole-space meet, say) is read in
+    place through a slice, not copied: the contraction reads the same
+    values in the same C layout, so the table is the same to the byte."""
     mu, cost = problem.prior.mass, problem.cost.table
     for b, block in enumerate(partition.blocks):
-        idx = np.fromiter(block, dtype=int)
-        mass = float(mu[idx].sum())
-        yield b, mass, np.tensordot(mu[idx] / mass, cost[idx], axes=(0, 0)) if mass > 0.0 else None
+        # blocks are sorted, so a run of consecutive indices spans its length
+        if block[-1] - block[0] + 1 == len(block):
+            idx = slice(block[0], block[-1] + 1)
+        else:
+            idx = np.fromiter(block, dtype=int)
+        w = mu[idx]
+        mass = float(w.sum())
+        yield b, mass, np.tensordot(w / mass, cost[idx], axes=(0, 0)) if mass > 0.0 else None
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,9 @@ class StaticReduction:
 
         Its exogenous points are tuples (omega0, y1, ..., yN) under the
         product of prior and references; DM t observes coordinate t
-        exactly; the cost is the original cost times all weights.
+        exactly; the cost is the original cost times all weights, taken
+        from left to right (cost * f_1 * ... * f_N) in place in one
+        C-ordered buffer, with a product of -0 stored as +0.
         Raises CapExceeded when the largest table it builds, the cost or
         one kernel's stored rows, would hold more than ``cap`` cells.
         """
@@ -120,18 +122,29 @@ class StaticReduction:
             full = (n_ex, *u_sizes[: t - 1], ny)
             kernels.append(MeasurementKernel(t, rows if rows.shape == full else np.broadcast_to(rows, full)))
 
-        # cost over (omega, y1..yN, u1..uN), then flatten the exogenous part
-        operands = [problem.cost.table, [0] + [n + 1 + j for j in range(n)]]
-        for t in range(1, n + 1):
-            sub = [0] + [n + 1 + j for j in range(t - 1)] + [t]
-            operands += [_compact(self.weights[t - 1]), sub]  # einsum broadcasts the cut axes
-        out_sub = list(range(n + 1)) + [n + 1 + j for j in range(n)]
+        # cost over (omega, y1..yN, u1..uN), then flatten the exogenous part:
         # written into a C-ordered buffer whose exogenous axes then merge in
         # place, so the cost table owns its cells and is not copied again
         c = np.empty((len(problem.omega0), *y_sizes, *u_sizes))
-        np.einsum(*operands, out_sub, out=c)
+        cost = problem.cost.table
+        c[...] = cost.reshape(cost.shape[:1] + (1,) * n + cost.shape[1:])
+        weights = [_compact(f) for f in self.weights]
+        # times f_1, ..., f_N from left to right, each broadcast over the axes
+        # it does not keep; inf * 0 and overflow store nan and inf without a
+        # RuntimeWarning, as the package's contractions do
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, f in enumerate(weights, start=1):
+                # (omega, u1..u_{t-1}, y_t) to (omega, y1..yN, u1..uN)
+                f = np.moveaxis(f, -1, 1).reshape(
+                    f.shape[:1] + (1,) * (t - 1) + f.shape[-1:] + (1,) * (n - t)
+                    + f.shape[1:-1] + (1,) * (n - t + 1)
+                )
+                np.multiply(c, f, out=c)
+        # a product of -0 is stored as +0, as a sum from +0 stores it; without
+        # a sign bit among the factors (read as a negative int64) none is -0
+        if any(a.view(np.int64).min() < 0 for a in (cost, *weights)):
+            c += 0.0
         c.shape = (n_ex, *u_sizes)
-        cost = CostTable(c)
 
         return TeamProblem(
             ex_space,
@@ -139,7 +152,7 @@ class StaticReduction:
             problem.y_spaces,
             problem.u_spaces,
             kernels,
-            cost,
+            CostTable(c),
             name=(problem.name + ":reduced") if problem.name else "reduced",
         )
 

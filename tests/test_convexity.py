@@ -16,15 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamdec.constants import MIDPOINT_TOL, STRICT_RATE
-from teamdec.gallery import example1
+from teamdec.gallery import example1, witsenhausen
 from teamdec.errors import (
+    GroundMismatch,
     NonDeterministicMeasurement,
     NonNumericActions,
     StaticRequired,
     ValidationError,
 )
 from teamdec import solvers
-from teamdec.infostruct import Partition, meet, sigma_field_of
+from teamdec.infostruct import Partition, join, meet, sigma_field_of
 from teamdec.model import (
     CostTable,
     DeterministicProfile,
@@ -38,6 +39,7 @@ from teamdec.convexity import (
     GridConvexityReport,
     GridViolation,
     VerdictKind,
+    _block_costs,
     certify_team_convexity,
     conditional_cost,
     default_pair_candidates,
@@ -269,6 +271,21 @@ def test_grid_scan_memory_stays_within_the_cell_budget():
         assert peak < 2 * 8 * solvers._SCAN_CELLS
 
 
+def test_witsenhausen_certify_memory_stays_below_half_its_cost_table():
+    # the meet is one block, the whole exogenous space: read in place, its
+    # 19.5 MB of cost is not copied again
+    reduced = witsenhausen().materialized_reduction()[2]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        verdict = certify_team_convexity(reduced)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind is VerdictKind.NOT_CONVEX
+    assert peak - entry <= 0.5 * reduced.cost.table.nbytes
+
+
 @settings(max_examples=40)
 @given(
     # leading axes of 1-3 points; the windowed axis narrow or wide enough for bands
@@ -415,8 +432,54 @@ def test_conditional_cost_skips_zero_mass_blocks():
     assert cond.skipped_blocks == (2,)
     assert cond.block_indices == (0, 1)
     smaller = FiniteSpace("g", [0, 1])
-    with pytest.raises(ValidationError):
+    with pytest.raises(GroundMismatch, match="partition ground has size 2, expected 3"):
         conditional_cost(team, Partition(smaller, [[0], [1]]))
+
+
+def test_conditional_cost_refuses_a_partition_of_another_space_of_its_size():
+    other = FiniteSpace("other", ["a", "b", "c"])
+    with pytest.raises(GroundMismatch, match="'other' has other points"):
+        conditional_cost(example1().problem, Partition(other, [(0, 1), (2,)]))
+
+
+def assert_blocks_read_as_copies(team, partitions):
+    """Every _block_costs table equals, byte for byte, the contraction of
+    the block's fancy-indexed copy."""
+    mu, cost = team.prior.mass, team.cost.table
+    for part in partitions:
+        got = list(_block_costs(team, part))
+        assert [b for b, _, _ in got] == list(range(len(part.blocks)))
+        for (_, mass, table), block in zip(got, part.blocks):
+            idx = np.array(block)
+            assert mass == float(mu[idx].sum())
+            if mass == 0.0:
+                assert table is None
+                continue
+            want = np.tensordot(mu[idx] / mass, cost[idx], axes=(0, 0))
+            assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_omega=st.integers(1, 6),
+    dms=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3),
+    zero_prior=st.booleans(),
+)
+def test_blocks_read_in_place_give_the_copied_tables(seed, n_omega, dms, zero_prior):
+    team = deterministic_team(seed, n_omega, dms, zero_prior)
+    fields = [sigma_field_of(team, k) for k in range(1, len(dms) + 1)]
+    whole = Partition(team.omega0, [range(n_omega)])
+    points = Partition(team.omega0, [[i] for i in range(n_omega)])
+    assert_blocks_read_as_copies(team, [*fields, join(*fields), meet(*fields), whole, points])
+
+
+def test_gallery_blocks_read_in_place_give_the_copied_tables():
+    # example1's join blocks are runs that start inside the cost table;
+    # the Witsenhausen reduction's meet is the whole space
+    for team in (example1().problem, witsenhausen().materialized_reduction()[2]):
+        fields = [sigma_field_of(team, k) for k in range(1, team.n_dms + 1)]
+        assert_blocks_read_as_copies(team, [join(*fields), meet(*fields)])
 
 
 # --------------------------------------------------------- certification

@@ -2,9 +2,15 @@
 lazy path and on the materialized static problem, reference validation,
 and absolute-continuity failures."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teamdec.constants import REDUCTION_TOL
 from teamdec.errors import (
     AbsoluteContinuityFailure,
     CapExceeded,
@@ -35,6 +41,7 @@ from conftest import (
     random_randomized_profile,
     random_team,
     relay_team,
+    sparse_team,
 )
 
 
@@ -154,6 +161,61 @@ def test_materialized_reduction_is_static_and_equivalent():
         assert expected_cost(reduced, rnd) == pytest.approx(
             expected_cost(team, rnd), abs=1e-10
         )
+
+
+def reduced_cost_literal(red):
+    """The reduced cost cell by cell: cost times f_1, ..., f_N from left
+    to right, then + 0.0, over (omega, y1..yN) flattened, then (u1..uN)."""
+    team = red.problem
+    n = team.n_dms
+    ys = [range(len(y)) for y in team.y_spaces]
+    us = [range(len(u)) for u in team.u_spaces]
+    out = []
+    for w, *y in itertools.product(range(len(team.omega0)), *ys):
+        for u in itertools.product(*us):
+            v = float(team.cost.table[(w,) + u])
+            for t in range(n):
+                v = v * float(red.weights[t][(w,) + u[:t] + (y[t],)])
+            out.append(v + 0.0)
+    return np.array(out).reshape((-1,) + tuple(len(u) for u in us))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    n_omega=st.integers(2, 3),
+    sparse=st.booleans(),
+    cells=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+)
+def test_reduced_cost_is_the_literal_product_to_the_byte(seed, sizes, n_omega, sparse, cells):
+    """On dynamic teams, zero kernel rows and prior points included, with
+    one negative and one -0.0 cost cell, the reduced cost holds the
+    per-cell product's bytes, and the reduction keeps every expected cost
+    within REDUCTION_TOL of the literal summation."""
+    y_sizes, u_sizes = (tuple(x) for x in zip(*sizes))
+    if sparse:
+        team = sparse_team(seed, y_sizes, u_sizes, dynamic=True, zeros=True, n_omega=n_omega)
+    else:
+        team = random_team(seed, n_omega, y_sizes, u_sizes, dynamic=True)
+    cost = team.cost.table.copy()
+    neg, nz = (c % cost.size for c in cells)
+    nz = nz if nz != neg else (neg + 1) % cost.size
+    cost.flat[neg] = -1.5
+    cost.flat[nz] = -0.0
+    team = dataclasses.replace(team, cost=CostTable(cost))
+    red = static_reduce(team)
+    got = red.reduced_problem().cost.table
+    want = reduced_cost_literal(red)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    profiles = [random_profile(team, seed + k) for k in range(3)]
+    report = verify_equivalence(red, profiles)
+    assert report.max_gap <= REDUCTION_TOL
+    for rec, prof in zip(report.records, profiles):
+        naive = naive_expected_cost(team, prof)
+        assert abs(rec.original - naive) <= REDUCTION_TOL
+        assert abs(rec.reduced - naive) <= REDUCTION_TOL
 
 
 def test_relay_chain_reduces_exactly():
