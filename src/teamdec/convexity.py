@@ -435,13 +435,10 @@ def _mirror(
 ) -> DeterministicProfile:
     """Reflect the action maps of the given DMs (1-based) through the
     center of their action grids."""
-    actions = []
-    for d, a in enumerate(profile.actions):
-        if d + 1 in dms:
-            actions.append(len(problem.u_spaces[d]) - 1 - a)
-        else:
-            actions.append(a.copy())
-    return DeterministicProfile(actions)
+    return DeterministicProfile(
+        [len(problem.u_spaces[d]) - 1 - a if d + 1 in dms else a
+         for d, a in enumerate(profile.actions)]
+    )
 
 
 def _mirror_pairs(problem: TeamProblem, profile: DeterministicProfile) -> list:

@@ -30,6 +30,7 @@ from .model import (
     RandomizedProfile,
     TeamProblem,
     _compact,
+    _dm_index,
     induced_joint,
 )
 
@@ -158,10 +159,7 @@ def _static_rows(problem: TeamProblem, dm: int) -> np.ndarray:
     """DM ``dm``'s kernel as an (|Omega|, |Y_dm|) table.  Raises
     StaticRequired, naming the first dependency, when an earlier action
     changes it."""
-    n = problem.n_dms
-    if not (1 <= dm <= n):
-        raise ValidationError(f"dm index {dm} out of range 1..{n}")
-    rows = _compact(problem.kernels[dm - 1].table)
+    rows = _compact(problem.kernels[_dm_index(problem, dm) - 1].table)
     kept = [k for k in range(1, dm) if rows.shape[k] > 1]
     if kept:
         raise StaticRequired(f"DM {dm}'s measurement depends on u{kept[0]}")

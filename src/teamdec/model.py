@@ -267,6 +267,15 @@ class TeamProblem:
         return math.prod(len(u) ** len(y) for y, u in zip(self.y_spaces, self.u_spaces))
 
 
+def _dm_index(problem: TeamProblem, dm: int) -> int:
+    """``dm`` if it names one of the problem's DMs (1-based), else
+    ValidationError."""
+    n = problem.n_dms
+    if not (1 <= dm <= n):
+        raise ValidationError(f"dm index {dm} out of range 1..{n}")
+    return dm
+
+
 def _check_policy_count(policies: Sequence, problem: TeamProblem) -> None:
     if len(policies) != problem.n_dms:
         raise DimensionMismatch(
@@ -292,7 +301,8 @@ class DeterministicProfile:
                     raw.dtype.kind == "O"
                     and all(isinstance(v, (int, np.integer)) for v in raw.flat)
                 )
-                arr = np.asarray(raw, dtype=np.intp) if integral else None
+                # a copy: the caller's array stays writable and cannot change this one
+                arr = np.array(raw, dtype=np.intp) if integral else None
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(
                     "each policy map must hold action indices that fit intp"
@@ -301,7 +311,6 @@ class DeterministicProfile:
                 raise ValidationError("each policy map must hold integer action indices")
             if arr.ndim != 1:
                 raise ValidationError("each policy map must be a 1-D index array")
-            arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             maps.append(arr)
         object.__setattr__(self, "actions", tuple(maps))

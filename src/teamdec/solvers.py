@@ -29,6 +29,7 @@ from .model import (
     RandomizedProfile,
     TeamProblem,
     _compact,
+    _dm_index,
     _forward_law,
     _live_cells,
     _onto,
@@ -235,6 +236,7 @@ def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
     DMs i+1..N folded backward from the cost; the product of law and
     value-to-go is first summed over the history axes the kernel lacks.
     """
+    i = _dm_index(problem, i)
     mats = _policy_matrices(problem, profile)
     kernels = [_compact(k.table) for k in problem.kernels]
     law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
@@ -255,6 +257,7 @@ def response_table(problem: TeamProblem, profile, i: int) -> np.ndarray:
 def measurement_marginal(problem: TeamProblem, profile, i: int) -> np.ndarray:
     """Distribution of DM i's measurement (depends only on earlier DMs):
     the forward law of DMs 1..i-1 times DM i's kernel, summed."""
+    i = _dm_index(problem, i)
     mats = _policy_matrices(problem, profile)
     kernels = [_compact(k.table) for k in problem.kernels]
     law = _forward_law(problem.prior.mass, kernels[: i - 1], mats[: i - 1])
@@ -286,7 +289,7 @@ def best_response(
     value = float(table[np.arange(table.shape[0]), new_map].sum())
 
     if isinstance(profile, DeterministicProfile):
-        actions = [a.copy() for a in profile.actions]
+        actions = list(profile.actions)
         actions[i - 1] = new_map
         new_profile = DeterministicProfile(actions)
     else:

@@ -36,6 +36,7 @@ from .model import (
     RandomizedProfile,
     TeamProblem,
     _compact,
+    _dm_index,
     _full_joint,
     _masses,
     _readonly,
@@ -144,6 +145,7 @@ def aggregate_policy(measure: StrategicMeasure, dm: int) -> np.ndarray:
     """The measure's action conditional for DM ``dm`` given its own
     measurement (marginalizing the rest of the past).  Zero-mass rows
     come back as point masses on action 0."""
+    dm = _dm_index(measure.problem, dm)
     j, n = measure.joint, measure.problem.n_dms
     y_ax, u_ax = 2 * dm - 1, 2 * dm
     other = tuple(a for a in range(2 * n + 1) if a not in (y_ax, u_ax))
@@ -265,59 +267,57 @@ class NonconvexityWitness:
     verdict: MembershipVerdict
 
 
-def _pairs_across_dms(maps: list):
-    """Lexicographic pairs (a, b), a < b, of rows of the decoded profile
-    ``maps`` (per DM, one row per profile) whose maps differ for at least
-    two DMs."""
-    maps = [m for m in maps if (m != m[:1]).any()]  # DMs whose map varies
-    if len(maps) < 2:
-        return  # no two profiles differ in two DMs' maps
-    for a in range(len(maps[0])):
-        differ = sum((m[a + 1:] != m[a]).any(axis=1) for m in maps)
-        for b in (a + 1 + np.flatnonzero(differ >= 2)).tolist():
-            yield a, b
+def _reach_tables(problem: TeamProblem, maps: list) -> list:
+    """Per DM k, whether each profile (a row of ``maps``) reaches each
+    (y_<k in C order, y_k) at some omega0: positive prior mass and stored
+    kernel entries, read at its own actions.  A table that reads no action
+    keeps a profile axis of length 1."""
+    reach, tables = (problem.prior.mass > 0)[None], []  # (profile, omega0, y_1, ..)
+    for k, kernel in enumerate(problem.kernels):
+        rows = _compact(kernel.table) > 0
+        at = [np.arange(len(rows)).reshape((1, -1) + (1,) * k) if len(rows) > 1 else 0]
+        for j, m in enumerate(maps[:k]):  # u_j, at the profile's own y_j, if the row reads it
+            spread = tuple(a for a in range(1, k + 2) if a != j + 2)
+            at.append(np.expand_dims(m, spread) if rows.shape[j + 1] > 1 else 0)
+        reach = reach[..., None] & rows[tuple(at)]
+        tables.append(reach.any(axis=1).reshape(len(reach), -1, reach.shape[-1]))
+    return tables
 
 
-def find_nonconvexity_witness(
-    problem: TeamProblem, cap: int = ENUM_CAP, lam: float = 0.5
-) -> Optional[NonconvexityWitness]:
-    """First pair (in lexicographic pair order) of deterministic-profile
-    measures whose lam-mixture fails randomized membership; None when
-    every pair mixes inside the class.
-
-    Only pairs whose profiles differ in at least two DMs' maps are mixed
-    and checked.  When two profiles differ in one DM's map only, the
-    induced joint is linear in that DM's policy, so their mixture is the
-    measure induced when that DM alone randomizes privately between its
-    two maps: it lies in the class and is never a witness.  Skipping
-    those pairs leaves the first reported pair unchanged.  A profile's
-    measure is induced when a tested pair first needs it, so a search
-    that stops early induces only the profiles it has mixed; the caps
-    are checked for all of them before any is decoded or induced."""
+def find_nonconvexity_witness(problem: TeamProblem,
+                              cap: int = ENUM_CAP) -> Optional[NonconvexityWitness]:
+    """First pair (in lexicographic order) of deterministic-profile
+    measures whose 50/50 mixture leaves the randomized class, or None.
+    Where DM k's maps differ at y_k, a reached (omega0, y_<k) is reached
+    by both profiles (their maps agree on y_<k), by a only or by b only;
+    the mixture leaves the class iff two classes are non-empty at some
+    such y_k.  Pairs differing in one DM's map, or under perfect recall,
+    have one.  Premise: no reached history's mass underflows to 0.  Only
+    the pair found is induced and checked, after the caps."""
     maps = _all_profile_maps(problem, cap)
     count = problem.n_deterministic_profiles()
-    measures = {}  # profile index -> its induced measure
-
-    def measure(i: int) -> StrategicMeasure:
-        if i not in measures:
-            measures[i] = induce_LA(problem, DeterministicProfile([m[i] for m in maps]))
-        return measures[i]
-
-    walked, tested, witness = count * (count - 1) // 2, 0, None
-    for a, b in _pairs_across_dms(maps):
-        tested += 1
-        mid = mix([measure(a), measure(b)], [lam, 1.0 - lam])
-        verdict = check_membership_LR(mid)
-        if not verdict.member:
-            witness = NonconvexityWitness(a, b, lam, mid, verdict)
-            # rows 0..a-1 hold a(2P - a - 1)/2 pairs; (a, b) is b - a into row a
-            walked = a * (2 * count - a - 1) // 2 + (b - a)
-            break
-    _log.debug(
-        "witness search: %d profiles, %d pairs tested, %d pairs skipped, "
-        "%d joints induced",
-        count, tested, walked - tested, len(measures),
-    )
+    reach = [np.broadcast_to(t, (count,) + t.shape[1:]) for t in _reach_tables(problem, maps)]
+    walked, witness = 0, None
+    for a in range(count - 1):  # against every b > a at once
+        # per b, whether its maps agree with a's at each y_<k (in C order)
+        agree, leaves = np.ones((count - a - 1, 1), dtype=bool), False
+        for k in range(1, problem.n_dms):
+            same = maps[k - 1][a + 1:] == maps[k - 1][a]
+            agree = (agree[:, :, None] & same[:, None, :]).reshape(len(same), -1)
+            off = ~agree  # per b and y_k: do both, a only, b only reach some y_<k?
+            classes = [agree @ reach[k][a], off @ reach[k][a], (off[:, None] @ reach[k][a + 1:])[:, 0]]
+            split = np.count_nonzero(classes, axis=0) >= 2
+            leaves = leaves | (split & (maps[k][a + 1:] != maps[k][a])).any(axis=1)
+        if not np.any(leaves):
+            walked += count - a - 1
+            continue
+        b = a + 1 + int(np.argmax(leaves))
+        pair = [induce_LA(problem, DeterministicProfile([m[i] for m in maps])) for i in (a, b)]
+        mid = mix(pair, [0.5, 0.5])
+        witness, walked = NonconvexityWitness(a, b, 0.5, mid, check_membership_LR(mid)), walked + b - a
+        break
+    _log.debug("witness search: %d profiles, %d pairs walked, %d joints induced",
+               count, walked, 0 if witness is None else 2)
     return witness
 
 

@@ -489,6 +489,22 @@ def test_deterministic_profile_takes_integer_indices_and_refuses_others():
             DeterministicProfile([[0], given])
 
 
+def test_deterministic_profile_copies_the_caller_maps():
+    """A profile owns its maps: the caller's array stays writable, and
+    writing to it, or to the array a given view was cut from, leaves the
+    profile unchanged."""
+    m = np.array([0, 1], dtype=np.intp)
+    q = DeterministicProfile([m])
+    assert m.flags.writeable
+    m[0] = 1
+    assert q.actions[0].tolist() == [0, 1]
+    base = np.zeros(4, dtype=np.intp)
+    q = DeterministicProfile([base[:2]])
+    base[0] = 1
+    assert q.actions[0].tolist() == [0, 0]
+    assert not q.actions[0].flags.writeable and q.actions[0].base is None
+
+
 def test_validate_messages_print_plain_numbers():
     team = random_team(2)
     t = team.kernels[0].table.copy()

@@ -1,5 +1,5 @@
 """Each refusal of a malformed argument, by the exception it raises and
-a fragment of its message: one row per ``raise`` of model, strategic,
+a fragment of its message: the ``raise``s of model, solvers, strategic,
 infostruct and convexity that no end-to-end test reaches."""
 
 import numpy as np
@@ -24,12 +24,19 @@ from teamdec.model import (
     TeamProblem,
     expected_cost,
 )
-from teamdec.strategic import StrategicMeasure, mix, realize_kernel_as_function
+from teamdec.solvers import best_response, measurement_marginal, response_table
+from teamdec.strategic import (
+    StrategicMeasure,
+    aggregate_policy,
+    mix,
+    realize_kernel_as_function,
+)
 
 from conftest import random_team
 
 TEAM = random_team(0)  # 3 exogenous points, two DMs with 2 measurements and 2 actions
 SMALL = random_team(1, n_omega=2)
+PROFILE = DeterministicProfile([[0, 1], [1, 0]])
 DECOUPLED = decoupled_example().problem  # 8 exogenous points, two DMs
 
 
@@ -70,6 +77,13 @@ REFUSALS = [
      DimensionMismatch, "DM 1 policy kernel shape (1, 2) != (2, 2)"),
     (lambda: expected_cost(TEAM, [[0, 1], [0, 1]]), ValidationError,
      "unsupported profile type list"),
+    # a DM index outside 1..N, refused alike by every function that takes one
+    *[(call, ValidationError, f"dm index {i} out of range 1..2")
+      for i in (0, 3)
+      for call in (lambda i=i: response_table(TEAM, PROFILE, i),
+                   lambda i=i: best_response(TEAM, PROFILE, i),
+                   lambda i=i: measurement_marginal(TEAM, PROFILE, i),
+                   lambda i=i: aggregate_policy(_measure(TEAM), i))],
     # strategic
     (lambda: StrategicMeasure(TEAM, np.ones(3)), ValidationError,
      "joint shape (3,) != (3, 2, 2, 2, 2)"),

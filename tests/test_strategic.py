@@ -189,9 +189,9 @@ def literal_in_LR(problem, joint, tol=EQ_TOL):
     return not literal_failures(problem, joint, tol)[0]
 
 
-def literal_first_witness(problem, lam):
+def literal_first_witness(problem):
     """Mix and check every pair of profiles in lexicographic order.
-    Returns the first pair whose lam-mixture leaves the class (None if
+    Returns the first pair whose 50/50 mixture leaves the class (None if
     there is none), the pairs walked up to and including it, and the
     pairs among those that differ in two or more DMs' maps."""
     profiles = list(enumerate_profiles_literal(problem))
@@ -204,7 +204,7 @@ def literal_first_witness(problem, lam):
             for x, y in zip(profiles[a].actions, profiles[b].actions)
         ) >= 2:
             across.append((a, b))
-        if not literal_in_LR(problem, lam * joints[a] + (1 - lam) * joints[b]):
+        if not literal_in_LR(problem, 0.5 * joints[a] + 0.5 * joints[b]):
             return (a, b), walked, across
     return None, walked, across
 
@@ -634,14 +634,14 @@ def test_witness_search_induces_only_the_profiles_it_mixes(monkeypatch):
     ):
         induced.clear()
         wit = find_nonconvexity_witness(team)
-        pair, _, across = literal_first_witness(team, 0.5)
+        pair, _, across = literal_first_witness(team)
         assert (None if wit is None else (wit.index_a, wit.index_b)) == pair
         assert len(induced) <= len({i for ab in across for i in ab})
     # the last team's first witness, (0, 3), mixes 2 of its 32 profiles
     assert 0 < len(induced) <= 2
 
     # one DM: every pair varies one map only, so nothing is mixed or induced,
-    # and the 2^16 profiles of a 16-measurement team are not walked pair by pair
+    # and the 2^16 profiles of a 16-measurement team are not mixed pair by pair
     for solo in (
         random_team(7, y_sizes=(2,), u_sizes=(3,)),
         random_team(7, n_omega=1, y_sizes=(16,), u_sizes=(2,)),
@@ -708,12 +708,11 @@ def test_signaling_team_mixture_of_optima_leaves_the_class():
     n_omega=st.integers(1, 3),
     dynamic=st.booleans(),
     zeros=st.booleans(),
-    lam=st.sampled_from([0.5, 0.3]),
     seed=st.integers(0, 2**32 - 1),
 )
 # every pair (0, b) mixes inside the class here; the first witness is (4, 10)
-@example(dms=[(1, 3), (2, 2)], n_omega=1, dynamic=True, zeros=True, lam=0.5, seed=8)
-def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, lam, seed):
+@example(dms=[(1, 3), (2, 2)], n_omega=1, dynamic=True, zeros=True, seed=8)
+def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, seed):
     y_sizes, u_sizes = zip(*dms)
     team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
     logger = logging.getLogger("teamdec.strategic")
@@ -722,19 +721,16 @@ def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, 
     logger.addHandler(records)
     logger.setLevel(logging.DEBUG)
     try:
-        wit = find_nonconvexity_witness(team, lam=lam)
+        wit = find_nonconvexity_witness(team)
     finally:
         logger.removeHandler(records)
         logger.setLevel(level)
-    pair, walked, across = literal_first_witness(team, lam)
+    pair, walked, _ = literal_first_witness(team)
     assert (None if wit is None else (wit.index_a, wit.index_b)) == pair
-    # only the pairs that differ in two or more DMs' maps are checked,
-    # and only the profiles in those pairs are induced
-    mixed = {i for ab in across for i in ab}
+    # the walk stops at the first witness; only its two profiles are induced
     assert [r.getMessage() for r in records.buffer] == [
         f"witness search: {team.n_deterministic_profiles()} profiles, "
-        f"{len(across)} pairs tested, {walked - len(across)} pairs skipped, "
-        f"{len(mixed)} joints induced"
+        f"{walked} pairs walked, {0 if pair is None else 2} joints induced"
     ]
 
 
@@ -748,11 +744,11 @@ def test_witness_search_matches_literal_pair_loop(dms, n_omega, dynamic, zeros, 
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mixtures_that_vary_one_dm_stay_in_the_class(dms, n_omega, dynamic, zeros, lam, seed):
-    """The pruning premise of the witness search: two profiles that
-    differ in one DM's map only mix inside the randomized class.  lam
-    stays far above the subnormal range: a weight like 5e-324 rounds
-    the mixed masses to a few units in the last place, and the stored
-    array is then no longer the mixture."""
+    """The one-class case of the witness search's rule, at any weight:
+    two profiles that differ in one DM's map only mix inside the
+    randomized class.  lam stays far above the subnormal range: a weight
+    like 5e-324 rounds the mixed masses to a few units in the last
+    place, and the stored array is then no longer the mixture."""
     y_sizes, u_sizes = zip(*dms)
     movable = [k for k, u in enumerate(u_sizes) if u > 1]
     assume(movable)
@@ -770,6 +766,113 @@ def test_mixtures_that_vary_one_dm_stay_in_the_class(dms, n_omega, dynamic, zero
         [lam, 1.0 - lam],
     )
     assert check_membership_LR(mid).member
+
+
+def literal_reached(problem, profile, k):
+    """The measurement histories (y1, ..., yk) that a deterministic
+    profile reaches with positive mass, one realization at a time."""
+    reached = set()
+    for w in range(len(problem.omega0)):
+        for ys in itertools.product(*(range(len(y)) for y in problem.y_spaces[:k])):
+            us = [int(profile.actions[j][ys[j]]) for j in range(k)]
+            if problem.prior.mass[w] > 0 and all(
+                problem.kernels[j].table[(w, *us[:j], ys[j])] > 0 for j in range(k)
+            ):
+                reached.add(ys)
+    return reached
+
+
+def literal_reach_rule(problem, pa, pb):
+    """Whether the 50/50 mixture of two deterministic profiles leaves the
+    randomized class, by the reachability rule: at some y_k where DM k's
+    maps differ, the reached histories fall in two of the classes "both
+    reach it" (the maps agree on y_<k), "a only" and "b only"."""
+    for k in range(1, problem.n_dms + 1):
+        ra, rb = literal_reached(problem, pa, k), literal_reached(problem, pb, k)
+        for y in range(len(problem.y_spaces[k - 1])):
+            if pa.actions[k - 1][y] == pb.actions[k - 1][y]:
+                continue
+            classes = set()
+            for ys in ra | rb:
+                if ys[-1] != y:
+                    continue
+                if all(pa.actions[j][ys[j]] == pb.actions[j][ys[j]] for j in range(k - 1)):
+                    classes.add("both")  # one history, reached by both with one mass
+                else:
+                    classes.update(c for c, r in (("a", ra), ("b", rb)) if ys in r)
+            if len(classes) >= 2:
+                return True
+    return False
+
+
+@settings(max_examples=150)
+@given(
+    dms=small_dms,
+    n_omega=st.integers(1, 3),
+    dynamic=st.booleans(),
+    zeros=st.sampled_from([None, False, True]),  # None: random_team, fully supported
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reach_rule_decides_every_pair(dms, n_omega, dynamic, zeros, seed):
+    """On every pair, not only the first, the reachability rule and the
+    literal membership check of the 50/50 mixture agree, and the witness
+    search reports the first pair that leaves the class."""
+    y_sizes, u_sizes = zip(*dms)
+    if zeros is None:
+        team = random_team(seed, n_omega, y_sizes, u_sizes, dynamic)
+    else:
+        team = sparse_team(seed, y_sizes, u_sizes, dynamic, zeros, n_omega)
+    profiles = list(enumerate_profiles_literal(team))
+    measures = [induce_LA(team, p) for p in profiles]
+    first = None
+    for a, b in itertools.combinations(range(len(profiles)), 2):
+        leaves = not check_membership_LR(mix([measures[a], measures[b]], [0.5, 0.5])).member
+        assert literal_reach_rule(team, profiles[a], profiles[b]) == leaves, (a, b)
+        first = first or ((a, b) if leaves else None)
+    wit = find_nonconvexity_witness(team)
+    assert (None if wit is None else (wit.index_a, wit.index_b)) == first
+
+
+def perfect_recall_team(n_omega=3):
+    """DM 1 sees omega, DM 2 sees (y1, u1): every measurement fixes the
+    measurements and actions before it.  Two actions each, so 2^n_omega x
+    2^(2 n_omega) profiles."""
+    omega = FiniteSpace("w", list(range(n_omega)))
+    y2 = np.zeros((n_omega, 2, 2 * n_omega))
+    for w, u in itertools.product(range(n_omega), range(2)):
+        y2[w, u, 2 * w + u] = 1.0
+    return TeamProblem(
+        omega,
+        Pmf.uniform(omega),
+        [FiniteSpace("y1", list(range(n_omega))), FiniteSpace("y2", list(range(2 * n_omega)))],
+        [FiniteSpace("u1", [0.0, 1.0]), FiniteSpace("u2", [0.0, 1.0])],
+        [MeasurementKernel(1, np.eye(n_omega)), MeasurementKernel(2, y2)],
+        CostTable(np.random.default_rng(0).uniform(size=(n_omega, 2, 2))),
+    )
+
+
+def test_perfect_recall_walk_checks_no_pair(monkeypatch):
+    """Under perfect recall every pair has one class (the Kuhn-type
+    argument that a classical team's class is convex), so the walk over
+    the 512 profiles' 130,816 pairs finds no witness and never calls the
+    membership check."""
+    calls = []
+    real = strategic.check_membership_LR
+    monkeypatch.setattr(
+        strategic, "check_membership_LR", lambda *a: calls.append(a) or real(*a)
+    )
+    team = perfect_recall_team()
+    assert team.n_deterministic_profiles() == 512
+    assert find_nonconvexity_witness(team) is None
+    assert calls == []
+    # the same team with DM 2 blind to u1 has a witness, found by one check
+    k2 = np.repeat(np.eye(3)[:, None], 2, axis=1)
+    blind = TeamProblem(
+        team.omega0, team.prior, [team.y_spaces[0], FiniteSpace("y2", [0, 1, 2])],
+        team.u_spaces, [team.kernels[0], MeasurementKernel(2, k2)], team.cost,
+    )
+    assert find_nonconvexity_witness(blind) is not None
+    assert len(calls) == 1
 
 
 # ------------------------------------- conditional-independence relaxation
